@@ -1,9 +1,20 @@
 """Shared fixtures."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.sim import Simulator
+
+GOLDEN_DIGESTS = Path(__file__).parent / "fixtures" / "golden_digests.json"
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """The stored determinism oracle (``tests/fixtures/golden_digests.json``)."""
+    return json.loads(GOLDEN_DIGESTS.read_text())
 
 
 @pytest.fixture
