@@ -2,12 +2,11 @@
 
 Like the engine benchmark, this one measures the *toolkit itself* — the
 PBIO encode/decode hot path every monitored node pushes its records
-through.  The batched frame path (cached multi-record packers, one
-header per frame, preordered rows) must beat the seed's per-record
-dict-packing baseline by at least 2x on encode, and the streaming frame
-decoder must beat per-record decoding by at least 1.5x.  Both paths stay
-runtime-selectable (``SysProfConfig(frame_dissemination=...)``), so the
-end-to-end section times a real monitored client/server run per mode.
+through.  Frames are the only wire layout: this records frame encode
+(preordered rows and dict records), frame decode, and end-to-end
+publish through a real monitored client/server run.  Entries before
+``bench-dissemination/v3`` also hold the since-deleted per-record
+layout's rates.
 
 Results append to the ``trajectory`` list in ``BENCH_dissemination.json``
 at the repo root; see docs/performance.md ("Dissemination path") for how
@@ -31,10 +30,6 @@ REPEAT = 2 if SMOKE else 5
 ROUNDS = 2 if SMOKE else 5
 #: Requests driven through the end-to-end monitored pair.
 N_REQUESTS = 10 if SMOKE else 40
-#: Smoke floors are sanity checks, not calibrated bounds — CI runners
-#: are too noisy for tight perf assertions on short runs.
-ENCODE_FLOOR = 1.3 if SMOKE else 2.0
-DECODE_FLOOR = 1.1 if SMOKE else 1.5
 
 
 def _registry():
@@ -87,14 +82,12 @@ def _rate(fn):
     return best
 
 
-def _publish_rate(frame_mode):
+def _publish_rate():
     """End-to-end records/sec of wall clock through a monitored pair."""
     from repro.core import SysProfConfig
     from tests.core.helpers import build_monitored_pair, drive_traffic
 
-    config = SysProfConfig(
-        eviction_interval=0.05, frame_dissemination=frame_mode
-    )
+    config = SysProfConfig(eviction_interval=0.05)
     started = time.perf_counter()
     cluster, sysprof = build_monitored_pair(config=config)
     drive_traffic(cluster, sysprof, count=N_REQUESTS)
@@ -106,50 +99,33 @@ def _publish_rate(frame_mode):
     return published / elapsed
 
 
-def test_dissemination_frame_speedup():
+def test_dissemination_throughput():
     registry, fmt = _registry()
     dicts = _make_records(N_RECORDS)
     rows = [tuple(record[name] for name in fmt.names) for record in dicts]
-    blob_records = encoding.encode_records(fmt, dicts)
-    blob_frame = encoding.encode_frame(fmt, rows)
-    # Same record images either way; only the 8-byte header differs.
-    assert len(blob_records) == len(blob_frame)
+    blob = encoding.encode_frame(fmt, rows)
+    assert blob == encoding.encode_frame(fmt, dicts)
 
-    # Encode: the seed's path packed dicts one struct.pack at a time.
-    encode_dict_rate = _rate(lambda: encoding.encode_records(fmt, dicts))
-    encode_row_rate = _rate(lambda: encoding.encode_records(fmt, rows))
-    encode_frame_rate = _rate(lambda: encoding.encode_frame(fmt, rows))
-
-    # Decode: per-record header walk vs whole-frame chunked unpack.
-    decode_record_rate = _rate(lambda: encoding.decode_records(registry, blob_records))
-    decode_frame_rate = _rate(lambda: encoding.decode_frame(registry, blob_frame))
-
-    publish_record_rate = _publish_rate(frame_mode=False)
-    publish_frame_rate = _publish_rate(frame_mode=True)
-
-    encode_speedup = encode_frame_rate / encode_dict_rate
-    decode_speedup = decode_frame_rate / decode_record_rate
+    encode_row_rate = _rate(lambda: encoding.encode_frame(fmt, rows))
+    encode_dict_rate = _rate(lambda: encoding.encode_frame(fmt, dicts))
+    decode_rate = _rate(lambda: encoding.decode_frame(registry, blob))
+    publish_rate = _publish_rate()
 
     if not SMOKE:  # smoke runs never append to the recorded trajectory
-        record_run(BENCH_PATH, "sysprof-repro/bench-dissemination/v2", {
+        record_run(BENCH_PATH, "sysprof-repro/bench-dissemination/v3", {
             "format": fmt.name,
             "record_size_bytes": fmt.record_size,
             "records_per_batch": N_RECORDS,
             "encode": {
-                "records_per_sec_per_record_dicts": round(encode_dict_rate),
-                "records_per_sec_per_record_rows": round(encode_row_rate),
-                "records_per_sec_frame_rows": round(encode_frame_rate),
-                "speedup_frame_vs_per_record_dicts": round(encode_speedup, 3),
+                "records_per_sec_frame_rows": round(encode_row_rate),
+                "records_per_sec_frame_dicts": round(encode_dict_rate),
             },
             "decode": {
-                "records_per_sec_per_record": round(decode_record_rate),
-                "records_per_sec_frame": round(decode_frame_rate),
-                "speedup_frame_vs_per_record": round(decode_speedup, 3),
+                "records_per_sec_frame": round(decode_rate),
             },
             "end_to_end": {
                 "workload": "monitored echo pair, {} requests".format(N_REQUESTS),
-                "published_per_wall_sec_per_record_mode": round(publish_record_rate),
-                "published_per_wall_sec_frame_mode": round(publish_frame_rate),
+                "published_per_wall_sec": round(publish_rate),
             },
         })
 
@@ -157,46 +133,19 @@ def test_dissemination_frame_speedup():
         "dissemination throughput (written to BENCH_dissemination.json)",
         ("metric", "records per second"),
         [
-            ("encode: per-record blobs, dict records (seed)", encode_dict_rate),
-            ("encode: per-record blobs, preordered rows", encode_row_rate),
-            ("encode: frames, preordered rows", encode_frame_rate),
-            ("decode: per-record blobs", decode_record_rate),
-            ("decode: frames", decode_frame_rate),
-            ("end-to-end publish: per-record mode", publish_record_rate),
-            ("end-to-end publish: frame mode", publish_frame_rate),
+            ("encode: frames, preordered rows", encode_row_rate),
+            ("encode: frames, dict records", encode_dict_rate),
+            ("decode: frames", decode_rate),
+            ("end-to-end publish", publish_rate),
         ],
-        notes=(
-            "frame encode speedup: {:.2f}x (required >= {:.2f}x)".format(
-                encode_speedup, ENCODE_FLOOR
-            ),
-            "frame decode speedup: {:.2f}x (required >= {:.2f}x)".format(
-                decode_speedup, DECODE_FLOOR
-            ),
-        ),
     )
-    assert encode_frame_rate >= ENCODE_FLOOR * encode_dict_rate, (
-        "frame encode {:.0f} rec/s vs per-record {:.0f} rec/s".format(
-            encode_frame_rate, encode_dict_rate
-        )
-    )
-    assert decode_frame_rate >= DECODE_FLOOR * decode_record_rate, (
-        "frame decode {:.0f} rec/s vs per-record {:.0f} rec/s".format(
-            decode_frame_rate, decode_record_rate
-        )
-    )
-    # Rows alone (no frame) must already beat dict packing.
-    assert encode_row_rate > encode_dict_rate
 
 
-def test_frame_roundtrip_matches_per_record():
-    """Both wire layouts decode to identical record contents."""
+def test_frame_roundtrip_of_interaction_records():
     registry, fmt = _registry()
     dicts = _make_records(64)
     rows = [tuple(record[name] for name in fmt.names) for record in dicts]
-    _, from_records = encoding.decode_records(
-        registry, encoding.encode_records(fmt, dicts)
-    )
-    _, from_frame = encoding.decode_frame(
+    _, decoded = encoding.decode_frame(
         registry, encoding.encode_frame(fmt, rows)
     )
-    assert [fmt.row_to_dict(row) for row in from_frame] == from_records
+    assert [fmt.row_to_dict(row) for row in decoded] == dicts

@@ -18,9 +18,7 @@ from repro.core.encoding import (
     FrameDecoder,
     RecordView,
     decode_frame,
-    decode_records,
     encode_frame,
-    encode_records,
     encode_text,
 )
 from repro.core.events import MonEvent
@@ -97,9 +95,7 @@ __all__ = [
     "all_of",
     "zone_channel_prefix",
     "decode_frame",
-    "decode_records",
     "encode_frame",
-    "encode_records",
     "encode_text",
     "exclude_port_range",
     "field_predicate",

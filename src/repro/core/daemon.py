@@ -12,21 +12,13 @@ The daemon also exports every analyzer's state through /proc (as the
 earlier Dproc system did) and drives the periodic eviction timer that
 flushes partially-filled buffers and samples node statistics.
 
-Two dissemination modes are runtime-selectable:
-
-* **frame mode** (default): every wakeup coalesces all drained LPA
-  buffers into one multi-record *frame* per channel, packed through the
-  cached per-format packers (see :mod:`repro.core.encoding`).  The
-  ``data_filter`` is pushed down to run right after each drain, so
-  filtered records never pay any encode cost.
-* **per-record mode** (``frame_mode=False``): the original path — one
-  blob per drained buffer, one ``struct.pack`` per record.  Kept as the
-  baseline the dissemination benchmark measures against.
-
-Simulated CPU is charged identically in both modes at the default
-calibration: ``record_copy`` per drained record, then
+Every wakeup coalesces all drained LPA buffers into one multi-record
+*frame* per channel, packed through the cached per-format packers (see
+:mod:`repro.core.encoding`).  The ``data_filter`` is pushed down to run
+right after each drain, so filtered records never pay any encode cost.
+Simulated CPU is charged ``record_copy`` per drained record, then
 ``frame_encode_base + record_encode * n`` per frame (the base defaults
-to zero), so same-seed traces are bit-identical across modes.
+to zero).
 """
 
 from repro.core import encoding
@@ -41,7 +33,7 @@ class DisseminationDaemon:
 
     def __init__(self, node, hub, registry=None, eviction_interval=0.25,
                  name="sysprofd", channel_prefix="sysprof/", data_filter=None,
-                 text_encoding=False, affinity=None, frame_mode=True,
+                 text_encoding=False, affinity=None,
                  reconnect_backoff_base=0.05, reconnect_backoff_cap=2.0,
                  reconnect_backoff_jitter=0.25, reconnect_max_retries=12):
         self.node = node
@@ -52,7 +44,6 @@ class DisseminationDaemon:
         self.data_filter = data_filter  # optional record-level filter fn
         self.text_encoding = text_encoding  # ablation: ship repr() text
         self.affinity = affinity  # pin to a dedicated analysis core (SMP)
-        self.frame_mode = frame_mode  # batched frames vs per-record blobs
         self.lpas = []
         self._by_buffer = {}
         self._notifications = Store(node.sim)
@@ -265,17 +256,7 @@ class DisseminationDaemon:
                 batches.append(item)
             if not batches:
                 continue
-            if self.frame_mode:
-                yield from self._publish_frames(ctx, batches)
-            else:
-                for buffer, index in batches:
-                    lpa = self._by_buffer.get(id(buffer))
-                    if lpa is None:
-                        continue
-                    records = buffer.drain(index)
-                    if not records:
-                        continue
-                    yield from self._publish(ctx, lpa, records)
+            yield from self._publish_frames(ctx, batches)
         self._notifications.cancel_get(pending)
         self._pending_get = None
         return "stopped"
@@ -302,7 +283,7 @@ class DisseminationDaemon:
         return kept
 
     # ------------------------------------------------------------------
-    # frame mode: coalesce all drains into one frame per channel
+    # coalesce all drains into one frame per channel
     # ------------------------------------------------------------------
 
     def _publish_frames(self, ctx, batches):
@@ -327,8 +308,7 @@ class DisseminationDaemon:
                 drained = len(records)
                 coalesced.extend(self._apply_filter(lpa, fmt, records))
             if drained:
-                # Copy records out of the per-CPU buffer (same physical
-                # cost as the per-record path charges).
+                # Copy records out of the per-CPU buffer.
                 yield from ctx.kcompute(costs.record_copy * drained)
         for fmt_name in order:
             fmt, records = groups[fmt_name]
@@ -351,32 +331,6 @@ class DisseminationDaemon:
             self.records_published += count
 
     # ------------------------------------------------------------------
-    # per-record mode (baseline, runtime-selectable)
-    # ------------------------------------------------------------------
-
-    def _publish(self, ctx, lpa, records):
-        costs = self.node.kernel.costs
-        # Copy records out of the per-CPU buffer.
-        yield from ctx.kcompute(costs.record_copy * len(records))
-        fmt_name, fmt_fields = lpa.record_format
-        fmt = self.registry.register(fmt_name, fmt_fields)
-        records = self._apply_filter(lpa, fmt, records)
-        if not records:
-            return
-        yield from ctx.kcompute(costs.record_encode * len(records))
-        if self.text_encoding:
-            blob = encoding.encode_text(records, fmt)
-            # Text encoding is an order of magnitude costlier to produce.
-            yield from ctx.kcompute(
-                costs.record_encode * costs.text_encode_multiplier * len(records)
-            )
-            yield from self._send(ctx, fmt, blob, "sysprof-data", text=True)
-        else:
-            blob = encoding.encode_records(fmt, records)
-            yield from self._send(ctx, fmt, blob, "sysprof-data")
-        self.records_published += len(records)
-
-    # ------------------------------------------------------------------
     # channel publication
     # ------------------------------------------------------------------
 
@@ -388,7 +342,6 @@ class DisseminationDaemon:
     def _render_daemon(self):
         lines = [
             "daemon={} node={}".format(self.name, self.node.name),
-            "mode={}".format("frame" if self.frame_mode else "per-record"),
             "records_published={}".format(self.records_published),
             "records_filtered={}".format(self.records_filtered),
             "bytes_published={}".format(self.bytes_published),

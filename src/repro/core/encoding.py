@@ -13,16 +13,14 @@ Supported field types: ``f64``, ``i64``, ``u32``, ``u16``, ``bool`` and
 ``strN`` (fixed-width UTF-8, NUL-padded, truncated at a codepoint
 boundary within N bytes).
 
-Two wire layouts share the same record image:
+Records travel in **frames** (:func:`encode_frame`): one header
+carrying a record *count*, then contiguous record images packed through
+a cached multi-record ``struct.Struct`` (chunks of up to ``_PACK_CHUNK``
+records per C call) into a reusable per-format ``bytearray`` scratch.
 
-* **per-record blobs** (:func:`encode_records`) — one header followed by
-  records packed one ``struct.pack`` call at a time.  This is the
-  original dissemination path, kept as the runtime-selectable baseline.
-* **frames** (:func:`encode_frame`) — one header carrying a record
-  *count*, then the same contiguous record images packed through a
-  cached multi-record ``struct.Struct`` (chunks of up to
-  ``_PACK_CHUNK`` records per C call) into a reusable per-format
-  ``bytearray`` scratch.  Frames are what the batched daemon ships.
+Every decode failure — short, truncated or garbled frames and format
+descriptors — raises :class:`ValueError` (an unknown format id raises
+:class:`KeyError`), so a receiver can count it and keep reading.
 
 A record may be a ``dict`` keyed by field name or a **preordered row**:
 a sequence whose values appear in registered field order.  Rows are what
@@ -54,10 +52,9 @@ try:
 except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
     _np = None
 
-_MAGIC = 0xB10B        # per-record blob
 _FRAME_MAGIC = 0xB10F  # multi-record frame
-_HEADER = struct.Struct("<HHI")        # magic, format_id, payload length
 _FRAME_HEADER = struct.Struct("<HHI")  # magic, format_id, record count
+_DESCRIPTOR_HEADER = struct.Struct("<HH")  # format_id, body length
 
 #: Records per cached multi-record Struct.  Bounds both the size of the
 #: compiled format strings and the per-format packer cache (at most
@@ -120,9 +117,6 @@ class RecordFormat:
             for i, (_fname, ftype) in enumerate(self.fields)
             if ftype.startswith("str")
         )
-        self._strings = frozenset(
-            fname for fname, ftype in self.fields if ftype.startswith("str")
-        )
         self._packers = {1: self._struct}
         self._scratch = bytearray()
         self._np_dtype = None  # built lazily; False = layout mismatch
@@ -168,20 +162,6 @@ class RecordFormat:
                 )
             cached = self._packers[count] = struct.Struct("<" + self._codes * count)
         return cached
-
-    def _wire_values(self, record):
-        """Flatten a dict record or preordered row into pack arguments."""
-        if isinstance(record, dict):
-            row = [record[fname] for fname in self.names]
-        else:
-            row = list(record)
-        for i, width in self._string_fields:
-            row[i] = _utf8_field(row[i], width)
-        return row
-
-    def pack(self, record):
-        """Pack one record (dict or preordered row) — the per-record path."""
-        return self._struct.pack(*self._wire_values(record))
 
     def pack_frame_into(self, scratch, offset, records):
         """Pack ``records`` contiguously into ``scratch`` at ``offset``.
@@ -229,15 +209,6 @@ class RecordFormat:
     # ------------------------------------------------------------------
     # unpacking
     # ------------------------------------------------------------------
-
-    def unpack(self, payload):
-        values = self._struct.unpack(payload)
-        record = {}
-        for (fname, _ftype), value in zip(self.fields, values):
-            if fname in self._strings:
-                value = value.rstrip(b"\x00").decode("utf-8", "replace")
-            record[fname] = value
-        return record
 
     def unpack_rows(self, payload, count):
         """Unpack ``count`` contiguous records into preordered row tuples.
@@ -303,7 +274,7 @@ class RecordFormat:
         body = "{}|{}".format(
             self.name, ";".join("{}:{}".format(f, t) for f, t in self.fields)
         ).encode("utf-8")
-        return struct.pack("<HH", self.format_id, len(body)) + body
+        return _DESCRIPTOR_HEADER.pack(self.format_id, len(body)) + body
 
     def __repr__(self):
         return "<RecordFormat {} #{} {}B>".format(
@@ -369,9 +340,24 @@ class FormatRegistry:
         return fmt
 
     def adopt(self, descriptor):
-        """Install a format from a peer's :meth:`RecordFormat.describe` blob."""
-        format_id, body_len = struct.unpack_from("<HH", descriptor)
-        body = descriptor[4:4 + body_len].decode("utf-8")
+        """Install a format from a peer's :meth:`RecordFormat.describe` blob.
+
+        Raises :class:`ValueError` on a short, truncated or garbled
+        descriptor.
+        """
+        size = _DESCRIPTOR_HEADER.size
+        if len(descriptor) < size:
+            raise ValueError(
+                "short format descriptor: {} bytes".format(len(descriptor))
+            )
+        format_id, body_len = _DESCRIPTOR_HEADER.unpack_from(descriptor)
+        if len(descriptor) != size + body_len:
+            raise ValueError(
+                "format descriptor length {} does not match its {}-byte body".format(
+                    len(descriptor), body_len
+                )
+            )
+        body = descriptor[size:].decode("utf-8")
         name, _, field_blob = body.partition("|")
         fields = []
         if field_blob:
@@ -391,35 +377,6 @@ class FormatRegistry:
 
     def __contains__(self, name):
         return name in self._by_name
-
-
-def encode_records(fmt, records):
-    """Encode an iterable of records into one per-record framed blob.
-
-    The baseline path: one ``struct.pack`` call (and one intermediate
-    ``bytes`` object) per record.  Kept selectable at runtime so the
-    frame path's speedup stays measurable against it.
-    """
-    body = b"".join(fmt.pack(record) for record in records)
-    return _HEADER.pack(_MAGIC, fmt.format_id, len(body)) + body
-
-
-def decode_records(registry, blob):
-    """Decode a per-record framed blob into ``(format, [records])``."""
-    magic, format_id, length = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise ValueError("bad record blob magic: {:#x}".format(magic))
-    fmt = registry.by_id(format_id)
-    body = blob[_HEADER.size:_HEADER.size + length]
-    if len(body) != length:
-        raise ValueError("truncated record blob")
-    size = fmt.record_size
-    if size == 0:
-        return fmt, []
-    if length % size:
-        raise ValueError("blob length {} not a multiple of record size {}".format(length, size))
-    records = [fmt.unpack(body[i:i + size]) for i in range(0, length, size)]
-    return fmt, records
 
 
 def encode_frame(fmt, records):
@@ -445,11 +402,19 @@ def encode_frame(fmt, records):
     return bytes(memoryview(scratch)[:total])
 
 
-def decode_frame(registry, blob):
-    """Decode one frame blob into ``(format, [row tuples])``."""
+def _frame_header(blob):
+    """``(format_id, count)`` of a frame; ValueError if short or mis-tagged."""
+    if len(blob) < _FRAME_HEADER.size:
+        raise ValueError("short frame: {} bytes".format(len(blob)))
     magic, format_id, count = _FRAME_HEADER.unpack_from(blob)
     if magic != _FRAME_MAGIC:
         raise ValueError("bad frame magic: {:#x}".format(magic))
+    return format_id, count
+
+
+def decode_frame(registry, blob):
+    """Decode one frame blob into ``(format, [row tuples])``."""
+    format_id, count = _frame_header(blob)
     fmt = registry.by_id(format_id)
     payload = memoryview(blob)[_FRAME_HEADER.size:]
     expected = count * fmt.record_size
@@ -476,9 +441,7 @@ def decode_frame_array(registry, blob):
     """
     if _np is None:
         raise RuntimeError("decode_frame_array requires numpy")
-    magic, format_id, count = _FRAME_HEADER.unpack_from(blob)
-    if magic != _FRAME_MAGIC:
-        raise ValueError("bad frame magic: {:#x}".format(magic))
+    format_id, count = _frame_header(blob)
     fmt = registry.by_id(format_id)
     dtype = fmt.numpy_dtype()
     if dtype is None:  # pragma: no cover - numpy checked above

@@ -463,7 +463,10 @@ class AnalyzerTier:
             if message.kind == "sysprof-query":
                 yield from self._answer_query(ctx, sock, meta)
             elif message.kind == "sysprof-fmt" and blob:
-                decoder.feed_descriptor(blob)
+                try:
+                    decoder.feed_descriptor(blob)
+                except ValueError:
+                    self.decode_errors += 1
             elif message.kind == "sysprof-frame" and blob:
                 try:
                     fmt, rows = decoder.feed(blob)
@@ -481,23 +484,7 @@ class AnalyzerTier:
                         self.node.kernel.costs.sketch_merge * len(rows)
                     )
                 self.ingest_rows(fmt, rows)
-            elif message.kind == "sysprof-data" and blob:
-                if meta.get("text"):
-                    continue  # text ablation payloads are not decoded
-                try:
-                    fmt, records = encoding.decode_records(decoder.registry, blob)
-                except (KeyError, ValueError):
-                    self.decode_errors += 1
-                    continue
-                # Small per-record analysis cost at this tier.
-                yield from ctx.compute(self.per_record_cost * len(records))
-                if fmt.name == "sysprof.sketch":
-                    # Same merge charge as the frame path, so both wire
-                    # modes keep identical simulated CPU.
-                    yield from ctx.compute(
-                        self.node.kernel.costs.sketch_merge * len(records)
-                    )
-                self.ingest(fmt.name, records)
+            # ``sysprof-data`` (the text-encoding ablation) is not decoded.
 
     def _answer_query(self, ctx, sock, meta):
         """Serve one remote query (paper: "Other nodes in the system can
@@ -523,10 +510,10 @@ class AnalyzerTier:
     # -- ingest ----------------------------------------------------------
 
     def ingest_rows(self, fmt, rows):
-        """Frame-mode ingest: decoded row tuples become the stored record
-        dicts directly (one ``zip`` per record — there is no intermediate
-        per-record blob slice or throwaway dict between the wire and the
-        query structures)."""
+        """Frame ingest: decoded row tuples become the stored record dicts
+        directly (one ``zip`` per record — there is no intermediate
+        per-record slice or throwaway dict between the wire and the query
+        structures)."""
         names = fmt.names
         self.ingest(fmt.name, [dict(zip(names, row)) for row in rows])
 

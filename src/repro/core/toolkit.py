@@ -65,7 +65,6 @@ class SysProfConfig:
     dump_path: str = None
     dump_interval: float = None
     text_encoding: bool = False  # ablation: ship text instead of PBIO binary
-    frame_dissemination: bool = True  # batched frames (False: per-record blobs)
     daemon_affinity: int = None  # pin sysprofd to a core (SMP nodes)
     # Federation: default upward forward interval for zone GPAs and the
     # per-zone eviction pacing offset.  With stagger > 0 each monitored
@@ -283,7 +282,6 @@ class SysProf:
             channel_prefix=channel_prefix,
             text_encoding=config.text_encoding,
             affinity=affinity,
-            frame_mode=config.frame_dissemination,
             reconnect_backoff_base=config.reconnect_backoff_base,
             reconnect_backoff_cap=config.reconnect_backoff_cap,
             reconnect_backoff_jitter=config.reconnect_backoff_jitter,

@@ -47,7 +47,6 @@ class FailureExperimentConfig:
     eviction_interval: float = 0.2
     seed: int = 9
     sim_limit: float = 30.0
-    frame_dissemination: bool = True
 
 
 @dataclass
@@ -108,7 +107,6 @@ def run_failure_experiment(config=None):
         cluster,
         SysProfConfig(
             eviction_interval=config.eviction_interval,
-            frame_dissemination=config.frame_dissemination,
             stale_threshold=config.stale_threshold,
         ),
     )

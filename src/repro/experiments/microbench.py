@@ -134,9 +134,6 @@ def overhead_range_experiment(duration=0.25, seed=42, jobs=1):
         ("default (per-interaction)", SysProfConfig(eviction_interval=0.1), None),
         ("small buffers + fast eviction", SysProfConfig(
             eviction_interval=0.01, buffer_capacity=16), None),
-        ("per-record dissemination", SysProfConfig(
-            eviction_interval=0.01, buffer_capacity=16,
-            frame_dissemination=False), None),
         ("text encoding (no PBIO)", SysProfConfig(
             eviction_interval=0.01, buffer_capacity=16, text_encoding=True), None),
     ]

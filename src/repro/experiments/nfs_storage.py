@@ -53,7 +53,6 @@ class NfsExperimentConfig:
     seed: int = 9
     sim_limit: float = 400.0
     clock_skew: bool = True
-    frame_dissemination: bool = True  # batched frames vs per-record blobs
     eviction_interval: float = 0.2  # buffer flush / sampling period
     syscall_stats: bool = False  # per-syscall aggregation LPA (more probes)
 
@@ -100,7 +99,6 @@ def run_nfs_experiment(threads_per_client, config=None):
         SysProfConfig(
             eviction_interval=config.eviction_interval,
             syscall_stats=config.syscall_stats,
-            frame_dissemination=config.frame_dissemination,
         ),
         clock_table=clock_table,
     )

@@ -45,7 +45,6 @@ class RubisExperimentConfig:
     seed: int = 21
     start: float = 0.5
     monitor: bool = True
-    frame_dissemination: bool = True  # batched frames vs per-record blobs
 
 
 @dataclass
@@ -91,10 +90,7 @@ def run_rubis_experiment(scheduler="dwcs", config=None, inject_load=True):
     if config.monitor:
         sysprof = SysProf(
             cluster,
-            SysProfConfig(
-                eviction_interval=0.1,
-                frame_dissemination=config.frame_dissemination,
-            ),
+            SysProfConfig(eviction_interval=0.1),
         )
         sysprof.install(monitored=list(SERVLETS), gpa_node="mgmt")
         sysprof.start()

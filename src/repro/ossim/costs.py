@@ -70,13 +70,12 @@ class CostModel:
     # Fixed per-frame cost of the batched dissemination path (header pack
     # + channel dispatch).  A frame header is a handful of machine ops on
     # the calibrated 2.8 GHz testbed — negligible next to the per-record
-    # marshal charged via ``record_encode`` — so the default is zero and
-    # the frame/per-record paths charge identical simulated CPU.  Raise
-    # it for framing-overhead ablations.
+    # marshal charged via ``record_encode`` — so the default is zero.
+    # Raise it for framing-overhead ablations.
     frame_encode_base: float = 0.0
     # The text-encoding ablation ships repr() lines instead of PBIO
     # binary; producing them costs this many extra multiples of
-    # ``record_encode`` per record (daemon._publish charges
+    # ``record_encode`` per record (daemon._publish_frames charges
     # ``record_encode * (1 + text_encode_multiplier)`` in total).
     # Referenced from docs/performance.md ("Dissemination path").
     text_encode_multiplier: float = 9.0

@@ -14,11 +14,9 @@ diffs event streams across configurations.  The ``seq`` counter breaks
 time ties in insertion order and no wall-clock value ever enters the
 simulation.
 
-Storage is split four ways (``docs/performance.md``):
+Storage is split three ways (``docs/performance.md``):
 
-* a pluggable *event store* for future events — either the array-backed
-  :class:`CalendarQueue` (default) or the :class:`HeapStore` binary heap,
-  which remains the determinism oracle;
+* the array-backed :class:`CalendarQueue` for future events;
 * three same-time FIFO *fast lanes*, one per priority band, fed by
   ``call_soon()`` / ``schedule(0.0, ...)``;
 * a *delivery lane* of immutable ``(seq, fn, arg)`` tuples for handle-less
@@ -31,6 +29,10 @@ engine.  The load-bearing invariant is that a lane entry's time equals
 ``now`` at insertion and the clock can never advance past a pending lane
 entry (the lane entry is a strictly smaller key than any later-time
 event), so lane entries are always due and lanes never need sorting.
+
+There is one configuration and one dispatch loop.  Its oracle is stored
+data: the dispatch orderings and same-seed trace digests in
+``tests/fixtures/golden_digests.json``.
 """
 
 from heapq import heapify, heappop, heappush
@@ -44,15 +46,6 @@ PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
 
 _LANE_PRIORITIES = (PRIORITY_INTERRUPT, PRIORITY_NORMAL, PRIORITY_LOW)
-
-#: Default for :class:`Simulator`'s ``fast_lane`` switch.  Tests flip this
-#: to prove the lane and pure-store paths produce identical traces.
-DEFAULT_FAST_LANE = True
-
-#: Default event store backend for new simulators: ``"calendar"`` (the
-#: array-backed calendar queue) or ``"heap"`` (the binary-heap oracle).
-#: Determinism tests flip this to prove both orderings are identical.
-DEFAULT_EVENT_STORE = "calendar"
 
 #: Calendar-queue bucket width in simulated seconds.  Costs in the OS
 #: model are microsecond-scale and timers millisecond-scale, so a 1 ms
@@ -75,7 +68,7 @@ _PURGE_MIN_CANCELLED = 64
 #: Upper bound on recycled lane-entry lists kept for reuse.
 _POOL_LIMIT = 1024
 
-# Lane/heap entry layout (a mutable list so cancellation can null the
+# Lane entry layout (a mutable list so cancellation can null the
 # callback):
 #   [time, priority, seq, args, fn]
 # ``fn is None`` marks a cancelled (or already-dispatched) entry.  Lane
@@ -85,7 +78,7 @@ _POOL_LIMIT = 1024
 
 
 class Handle:
-    """Cancellation handle for a lane- or heap-scheduled callback.
+    """Cancellation handle for a lane-scheduled (zero-delay) callback.
 
     The handle captures the entry's ``seq`` at creation time.  Lane
     entries are recycled through the simulator's pool after dispatch, so
@@ -110,7 +103,7 @@ class Handle:
             entry[4] = None
             entry[3] = None
             self._cancelled = True
-            self._sim._note_cancel()
+            self._sim._cancels += 1
 
     @property
     def cancelled(self):
@@ -141,58 +134,6 @@ class SlotHandle:
     @property
     def cancelled(self):
         return self._cancelled
-
-
-class HeapStore:
-    """Binary-heap event store: the ordering oracle for future events."""
-
-    __slots__ = ("heap", "purges", "_cancel_count")
-
-    def __init__(self):
-        self.heap = []
-        self.purges = 0
-        self._cancel_count = 0
-
-    @property
-    def head(self):
-        """The minimum entry (possibly cancelled), or ``None`` if empty."""
-        heap = self.heap
-        return heap[0] if heap else None
-
-    def push(self, when, priority, seq, fn, args, sim):
-        entry = [when, priority, seq, args, fn]
-        heappush(self.heap, entry)
-        return Handle(sim, entry)
-
-    def live_head(self):
-        """The minimum live entry, discarding cancelled heads."""
-        heap = self.heap
-        while heap and heap[0][4] is None:
-            heappop(heap)
-        return heap[0] if heap else None
-
-    def pop_live(self):
-        """Pop the head; returns ``(fn, args)``, ``fn`` None if cancelled."""
-        entry = heappop(self.heap)
-        return entry[4], entry[3]
-
-    def note_cancel(self):
-        """Lazily purge cancelled entries once they dominate the heap."""
-        self._cancel_count += 1
-        heap = self.heap
-        if (
-            self._cancel_count >= _PURGE_MIN_CANCELLED
-            and self._cancel_count * 2 >= len(heap)
-        ):
-            # In-place so dispatch loops holding a reference stay valid.
-            heap[:] = [entry for entry in heap if entry[4] is not None]
-            heapify(heap)
-            self._cancel_count = 0
-            self.purges += 1
-
-    def stats(self):
-        """Store counters, folded into :meth:`Simulator.stats`."""
-        return {"size": len(self.heap), "purges": self.purges}
 
 
 class CalendarQueue:
@@ -276,7 +217,7 @@ class CalendarQueue:
         self._free.extend(range(2 * cap - 1, cap, -1))
         return cap
 
-    def push(self, when, priority, seq, fn, args, sim):
+    def push(self, when, priority, seq, fn, args):
         free = self._free
         slot = free.pop() if free else self._grow()
         self._fns[slot] = fn
@@ -397,9 +338,6 @@ class CalendarQueue:
             self._purge()
         return True
 
-    def note_cancel(self):
-        """Lane-entry cancels don't involve the calendar; nothing to do."""
-
     def _purge(self):
         """Drop cancelled entries from every structure and free their slots."""
         fns = self._fns
@@ -458,9 +396,6 @@ class CalendarQueue:
             "purges": self.purges,
             "cancelled": self.cancelled,
         }
-
-
-_STORES = {"calendar": CalendarQueue, "heap": HeapStore}
 
 
 class Waitable:
@@ -546,12 +481,9 @@ class Waitable:
             sim = self.sim
             if type(cbs) is not list:
                 # Single waiter: inline the delivery-lane append.
-                if sim._fast:
-                    seq = sim._seqn + 1
-                    sim._seqn = seq
-                    sim._dq.append((seq, cbs, self))
-                else:
-                    sim.schedule(0.0, cbs, self)
+                seq = sim._seqn + 1
+                sim._seqn = seq
+                sim._dq.append((seq, cbs, self))
             else:
                 soon1 = sim._soon1
                 for fn in cbs:
@@ -648,15 +580,8 @@ class AllOf(Waitable):
 
 
 class Simulator:
-    """The event loop.
-
-    ``fast_lane`` selects between the lane-accelerated dispatcher and the
-    pure-store reference path (default: :data:`DEFAULT_FAST_LANE`).
-    ``event_store`` selects the future-event backend — ``"calendar"``
-    (array-backed calendar queue, default via :data:`DEFAULT_EVENT_STORE`)
-    or ``"heap"`` (binary-heap oracle).  All four combinations produce
-    identical event orderings; the switches exist so determinism tests
-    and benchmarks can compare them.
+    """The event loop: a calendar queue for future events plus same-time
+    lanes, drained in global ``(time, priority, seq)`` order.
 
     >>> sim = Simulator()
     >>> ticks = []
@@ -666,7 +591,7 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(self, fast_lane=None, event_store=None):
+    def __init__(self):
         self.now = 0.0
         self._lanes = (deque(), deque(), deque())
         self._dq = deque()
@@ -676,17 +601,7 @@ class Simulator:
         self._cancels = 0
         self._pool_hits = 0
         self._pool_misses = 0
-        self._fast = DEFAULT_FAST_LANE if fast_lane is None else bool(fast_lane)
-        name = DEFAULT_EVENT_STORE if event_store is None else event_store
-        try:
-            self._store = _STORES[name]()
-        except KeyError:
-            raise SimError(
-                "unknown event_store {!r} (expected one of {})".format(
-                    name, sorted(_STORES)
-                )
-            ) from None
-        self.event_store = name
+        self._store = CalendarQueue()
 
     # ------------------------------------------------------------------
     # scheduling primitives
@@ -698,7 +613,7 @@ class Simulator:
             raise SimError("cannot schedule into the past (delay={})".format(delay))
         seq = self._seqn + 1
         self._seqn = seq
-        if delay == 0.0 and self._fast and priority in _LANE_PRIORITIES:
+        if delay == 0.0 and priority in _LANE_PRIORITIES:
             pool = self._pool
             if pool:
                 entry = pool.pop()
@@ -713,7 +628,7 @@ class Simulator:
                 self._pool_misses += 1
             self._lanes[priority].append(entry)
             return Handle(self, entry)
-        return self._store.push(self.now + delay, priority, seq, fn, args, self)
+        return self._store.push(self.now + delay, priority, seq, fn, args)
 
     def schedule_at(self, when, fn, *args, priority=PRIORITY_NORMAL):
         """Run ``fn(*args)`` at absolute simulated time ``when``.
@@ -740,17 +655,9 @@ class Simulator:
         ``PRIORITY_NORMAL`` at the current time, merged with lane-1
         entries by ``seq``.
         """
-        if self._fast:
-            seq = self._seqn + 1
-            self._seqn = seq
-            self._dq.append((seq, fn, arg))
-        else:
-            self.schedule(0.0, fn, arg)
-
-    def _note_cancel(self):
-        """Count a Handle cancel and let the store run its purge policy."""
-        self._cancels += 1
-        self._store.note_cancel()
+        seq = self._seqn + 1
+        self._seqn = seq
+        self._dq.append((seq, fn, arg))
 
     # ------------------------------------------------------------------
     # waitable factories
@@ -786,9 +693,8 @@ class Simulator:
         """Dispatch exactly one event (the global minimum key).
 
         Returns False when nothing is pending or the next event lies
-        beyond ``until``.  This is the generic selector shared by
-        :meth:`step` and the slow corners of :meth:`run`; the inlined
-        run loops reproduce exactly this order.
+        beyond ``until``.  This is the generic selector behind
+        :meth:`step`; :meth:`_run_lanes` inlines exactly this order.
         """
         now = self.now
         pool = self._pool
@@ -886,10 +792,7 @@ class Simulator:
         self._running = True
         try:
             if until is None or until >= self.now:
-                if self._fast:
-                    self._run_fast(until)
-                else:
-                    self._run_oracle(until)
+                self._run_lanes(until)
             if until is not None:
                 if until < self.now:
                     raise SimError(
@@ -899,7 +802,7 @@ class Simulator:
         finally:
             self._running = False
 
-    def _run_fast(self, until):
+    def _run_lanes(self, until):
         """The lane-accelerated drain loop — the hottest region in the tree.
 
         It inlines :meth:`_step_one` with containers bound to locals
@@ -1005,43 +908,6 @@ class Simulator:
                 pool.append(entry)
             fn(*args)
 
-    def _run_oracle(self, until):
-        """Pure-store reference drain loop (``fast_lane=False``)."""
-        store = self._store
-        now = self.now
-        if type(store) is HeapStore:
-            # Inlined for parity with the historical single-heap engine.
-            heap = store.heap
-            while True:
-                while heap and heap[0][4] is None:
-                    heappop(heap)
-                if not heap:
-                    break
-                entry = heap[0]
-                when = entry[0]
-                if until is not None and when > until:
-                    break
-                heappop(heap)
-                if when < now:
-                    raise SimError("time went backwards: {} < {}".format(when, now))
-                self.now = now = when
-                entry[4](*entry[3])
-            return
-        while True:
-            key = store.live_head()
-            if key is None:
-                break
-            when = key[0]
-            if until is not None and when > until:
-                break
-            fn, args = store.pop_live()
-            if fn is None:
-                continue
-            if when < now:
-                raise SimError("time went backwards: {} < {}".format(when, now))
-            self.now = now = when
-            fn(*args)
-
     def run_until_triggered(self, waitable, limit=None):
         """Run until ``waitable`` triggers; returns its value (or raises).
 
@@ -1064,9 +930,8 @@ class Simulator:
     def stats(self):
         """Engine counters for the metrics registry (``sysprof.sim``).
 
-        ``store_*`` keys fold in the active event store's own counters
-        (heap/calendar size, lazy purges, calendar overflow spills and
-        window migrations).
+        ``store_*`` keys fold in the calendar queue's own counters (size,
+        lazy purges, overflow spills and window migrations).
         """
         lanes = self._lanes
         out = {

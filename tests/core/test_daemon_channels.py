@@ -98,11 +98,10 @@ def test_daemon_stop_halts_publishing():
     assert daemon.records_published == published
 
 
-def test_frame_mode_is_default_and_publishes_frames():
+def test_daemon_publishes_frames():
     cluster, sysprof = build_monitored_pair()
     drive_traffic(cluster, sysprof, count=6)
     daemon = sysprof.monitor("server").daemon
-    assert daemon.frame_mode
     assert daemon.frames_published >= 1
     gpa_stats = sysprof.gpa.stats()
     assert gpa_stats["frames_received"] >= 1
@@ -110,20 +109,7 @@ def test_frame_mode_is_default_and_publishes_frames():
     assert len(sysprof.gpa.query_interactions(node="server")) == 6
 
 
-def test_per_record_mode_still_publishes():
-    cluster, sysprof = build_monitored_pair(
-        config=SysProfConfig(eviction_interval=0.05, frame_dissemination=False)
-    )
-    drive_traffic(cluster, sysprof, count=5)
-    daemon = sysprof.monitor("server").daemon
-    assert not daemon.frame_mode
-    assert daemon.frames_published == 0
-    assert daemon.records_published >= 5
-    assert sysprof.gpa.stats()["decode_errors"] == 0
-    assert len(sysprof.gpa.query_interactions(node="server")) == 5
-
-
-def test_frame_mode_coalesces_multiple_drains_into_one_frame():
+def test_multiple_drains_coalesce_into_one_frame():
     """Two buffer-full notifications pending at one wakeup — here from
     two same-format analyzer buffers — become a single frame carrying
     all four records."""

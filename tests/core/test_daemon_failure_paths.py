@@ -7,8 +7,6 @@ still dialed the dead peer (so there was no pacing either), and
 restart.
 """
 
-import pytest
-
 from repro.core import SysProfConfig
 from repro.experiments.common import trace_digest
 from repro.faults import FaultInjector, FaultSchedule
@@ -54,13 +52,11 @@ def test_formats_sent_does_not_grow_across_subscriber_restarts():
     assert sysprof.gpa.restarts == 3
 
 
-@pytest.mark.parametrize("frame_mode", [True, False])
-def test_subscriber_death_mid_publish_and_recovery(frame_mode):
+def test_subscriber_death_mid_publish_and_recovery():
     """Kill the GPA mid-run, restart it, and watch the daemon recover."""
-    config = SysProfConfig(
-        eviction_interval=0.05, frame_dissemination=frame_mode
+    cluster, sysprof = build_monitored_pair(
+        config=SysProfConfig(eviction_interval=0.05)
     )
-    cluster, sysprof = build_monitored_pair(config=config)
     daemon = sysprof.monitor("server").daemon
 
     from tests.core.helpers import echo_server, request_client

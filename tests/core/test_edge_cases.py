@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.core.encoding import FormatRegistry, decode_records, encode_records
+from repro.core.encoding import FormatRegistry, decode_frame, encode_frame
 from repro.core.kprof import Kprof
 from repro.ossim.kernel import Kernel
 from repro.ossim.costs import DEFAULT_COSTS
@@ -13,9 +13,9 @@ from repro.sim import SimError, Simulator
 def test_empty_format_roundtrip():
     registry = FormatRegistry()
     fmt = registry.register("empty", ())
-    blob = encode_records(fmt, [])
-    decoded_fmt, records = decode_records(registry, blob)
-    assert decoded_fmt is fmt and records == []
+    blob = encode_frame(fmt, [])
+    decoded_fmt, rows = decode_frame(registry, blob)
+    assert decoded_fmt is fmt and rows == []
 
 
 def test_format_descriptor_of_empty_format_adoptable():

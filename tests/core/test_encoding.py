@@ -1,5 +1,7 @@
 """PBIO-style binary encoding: formats, roundtrips, self-description."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,9 +11,7 @@ from repro.core.encoding import (
     RecordView,
     _PACK_CHUNK,
     decode_frame,
-    decode_records,
     encode_frame,
-    encode_records,
     encode_text,
 )
 
@@ -30,12 +30,17 @@ def _registry():
     return registry, registry.register("test.record", FIELDS)
 
 
+def _roundtrip(registry, fmt, records):
+    """Encode dict records as one frame; decode back to dicts."""
+    decoded_fmt, rows = decode_frame(registry, encode_frame(fmt, records))
+    return decoded_fmt, [decoded_fmt.row_to_dict(row) for row in rows]
+
+
 def test_roundtrip_single_record():
     registry, fmt = _registry()
     record = {"id": 7, "value": 3.25, "count": -9, "port": 8080,
               "flag": True, "name": "hello"}
-    blob = encode_records(fmt, [record])
-    decoded_fmt, records = decode_records(registry, blob)
+    decoded_fmt, records = _roundtrip(registry, fmt, [record])
     assert decoded_fmt is fmt
     assert records == [record]
 
@@ -47,7 +52,7 @@ def test_roundtrip_many_records():
          "flag": bool(i % 2), "name": "r{}".format(i)}
         for i in range(100)
     ]
-    _, decoded = decode_records(registry, encode_records(fmt, originals))
+    _, decoded = _roundtrip(registry, fmt, originals)
     assert decoded == originals
 
 
@@ -55,7 +60,7 @@ def test_string_truncation_and_padding():
     registry, fmt = _registry()
     record = {"id": 1, "value": 0.0, "count": 0, "port": 0, "flag": False,
               "name": "much-longer-than-twelve-bytes"}
-    _, decoded = decode_records(registry, encode_records(fmt, [record]))
+    _, decoded = _roundtrip(registry, fmt, [record])
     assert decoded[0]["name"] == "much-longer-"
 
 
@@ -70,7 +75,7 @@ def test_multibyte_truncation_at_codepoint_boundary():
     registry, fmt = _registry()
     record = {"id": 1, "value": 0.0, "count": 0, "port": 0, "flag": False,
               "name": "a" + "é" * 6}
-    _, decoded = decode_records(registry, encode_records(fmt, [record]))
+    _, decoded = _roundtrip(registry, fmt, [record])
     assert decoded[0]["name"] == "a" + "é" * 5
     assert "�" not in decoded[0]["name"]
 
@@ -81,15 +86,20 @@ def test_truncation_of_wide_codepoints():
     registry, fmt = _registry()
     record = {"id": 1, "value": 0.0, "count": 0, "port": 0, "flag": False,
               "name": "ab" + "\U0001f600" * 4}
-    _, decoded = decode_records(registry, encode_records(fmt, [record]))
+    _, decoded = _roundtrip(registry, fmt, [record])
     assert decoded[0]["name"] == "ab" + "\U0001f600" * 2
     assert "�" not in decoded[0]["name"]
 
 
 def test_empty_record_list():
-    registry, fmt = _registry()
-    _, decoded = decode_records(registry, encode_records(fmt, []))
-    assert decoded == []
+    """An empty batch is a bare 8-byte header that still counts as a frame."""
+    _, fmt = _registry()
+    blob = encode_frame(fmt, [])
+    assert len(blob) == 8
+    decoder = FrameDecoder()
+    decoder.feed_descriptor(fmt.describe())
+    assert decoder.feed(blob)[1] == []
+    assert decoder.stats() == {"frames_decoded": 1, "records_decoded": 0}
 
 
 def test_record_size_fixed():
@@ -98,20 +108,42 @@ def test_record_size_fixed():
 
 
 def test_bad_magic_rejected():
+    """Byte-swapped or off-by-one magics are not frames."""
     registry, fmt = _registry()
-    blob = encode_records(fmt, [])
-    with pytest.raises(ValueError, match="magic"):
-        decode_records(registry, b"\x00\x00" + blob[2:])
+    blob = encode_frame(fmt, [])
+    for magic in (blob[1::-1], bytes([blob[0] ^ 1, blob[1]])):
+        with pytest.raises(ValueError, match="magic"):
+            decode_frame(registry, magic + blob[2:])
 
 
 def test_truncated_blob_rejected():
+    """Input shorter than a header raises ValueError, not struct.error."""
     registry, fmt = _registry()
-    blob = encode_records(
-        fmt,
-        [{"id": 1, "value": 0.0, "count": 0, "port": 0, "flag": False, "name": "x"}],
-    )
-    with pytest.raises(ValueError, match="truncated"):
-        decode_records(registry, blob[:-4])
+    frame = encode_frame(fmt, [])
+    for cut in range(len(frame)):
+        with pytest.raises(ValueError, match="short frame"):
+            decode_frame(registry, frame[:cut])
+    with pytest.raises(ValueError, match="short frame"):
+        FrameDecoder(registry).feed(b"\x0f\xb1\x01")
+    descriptor = fmt.describe()
+    for cut in range(4):
+        with pytest.raises(ValueError, match="short format descriptor"):
+            FormatRegistry().adopt(descriptor[:cut])
+
+
+def test_garbled_descriptor_rejected():
+    _, fmt = _registry()
+    descriptor = fmt.describe()
+    garbled = [
+        descriptor[:-1],  # body cut short
+        descriptor + b"x",  # trailing bytes past the declared body
+        descriptor[:4] + b"\xff" * (len(descriptor) - 4),  # not UTF-8
+        descriptor.replace(b"f64", b"f65"),  # unknown field type
+        descriptor.replace(b"str12", b"strxy"),  # unparsable width
+    ]
+    for blob in garbled:
+        with pytest.raises(ValueError):
+            FrameDecoder().feed_descriptor(blob)
 
 
 def test_self_describing_adopt():
@@ -122,9 +154,8 @@ def test_self_describing_adopt():
     assert adopted.fields == fmt.fields
     assert adopted.format_id == fmt.format_id
     record = {"id": 3, "value": 1.0, "count": 2, "port": 1, "flag": True, "name": "ok"}
-    blob = encode_records(fmt, [record])
-    _, decoded = decode_records(fresh, blob)
-    assert decoded == [record]
+    _, rows = decode_frame(fresh, encode_frame(fmt, [record]))
+    assert [adopted.row_to_dict(row) for row in rows] == [record]
 
 
 def test_register_is_idempotent():
@@ -153,7 +184,7 @@ def test_binary_much_smaller_than_text():
         {"id": i, "value": 1.0, "count": 2, "port": 3, "flag": False, "name": "n"}
         for i in range(50)
     ]
-    binary = encode_records(fmt, records)
+    binary = encode_frame(fmt, records)
     text = encode_text(records)
     assert len(binary) < len(text) / 2
 
@@ -191,14 +222,19 @@ def test_frame_accepts_dict_records():
     assert [fmt.row_to_dict(row) for row in decoded] == records
 
 
-def test_frame_matches_per_record_payload():
-    """Same record images on the wire; only the 8-byte header differs."""
-    registry, fmt = _registry()
-    records = _sample_records(11)
-    blob_records = encode_records(fmt, records)
-    blob_frame = encode_frame(fmt, _as_rows(fmt, records))
-    assert blob_records[8:] == blob_frame[8:]
-    assert len(blob_records) == len(blob_frame)
+#: sha256 of ``encode_frame`` over ``_sample_records(64)``.  Recorded
+#: while the per-record wire layout still existed and carried the same
+#: 64 record images after its own 8-byte header, so it pins both the
+#: frame bytes and the record image the two layouts shared.
+FRAME_64_SHA256 = "79a28449d1578293d84e4d1a022bdf187cc583ee8de0dab2f5b9fdded47ce7b6"
+
+
+def test_frame_bytes_pinned():
+    _, fmt = _registry()
+    blob = encode_frame(fmt, _as_rows(fmt, _sample_records(64)))
+    assert len(blob) == 8 + 64 * fmt.record_size
+    observed = hashlib.sha256(blob).hexdigest()
+    assert observed == FRAME_64_SHA256, "frame bytes changed; observed " + observed
 
 
 def test_empty_frame():
@@ -212,9 +248,6 @@ def test_frame_bad_magic_rejected():
     blob = encode_frame(fmt, _as_rows(fmt, _sample_records(2)))
     with pytest.raises(ValueError, match="magic"):
         decode_frame(registry, b"\x00\x00" + blob[2:])
-    # A per-record blob is not a frame (and vice versa).
-    with pytest.raises(ValueError, match="magic"):
-        decode_frame(registry, encode_records(fmt, _sample_records(2)))
 
 
 def test_truncated_frame_rejected():
@@ -301,13 +334,13 @@ RECORDS_STRATEGY = st.lists(
 def test_roundtrip_property(records):
     registry = FormatRegistry()
     fmt = registry.register("prop.record", FIELDS)
-    _, decoded = decode_records(registry, encode_records(fmt, records))
+    _, decoded = _roundtrip(registry, fmt, records)
     assert decoded == records
 
 
 @given(RECORDS_STRATEGY)
 def test_frame_roundtrip_property(records):
-    """Frames decode to exactly what per-record blobs decode to."""
+    """Preordered rows decode to the dicts they were built from."""
     registry = FormatRegistry()
     fmt = registry.register("prop.record", FIELDS)
     rows = [tuple(record[name] for name in fmt.names) for record in records]
@@ -365,7 +398,7 @@ def test_encode_frame_array_matches_row_encoding():
     rows = [(i, i * 1.5, -i, i, bool(i % 2), "n{}".format(i))
             for i in range(500)]
     # Build the columnar producer's array (strings pre-encoded to bytes).
-    wire = [tuple(fmt._wire_values(row)) for row in rows]
+    wire = [row[:-1] + (row[-1].encode(),) for row in rows]
     array = np.array(wire, dtype=fmt.numpy_dtype())
     assert encoding_mod.encode_frame_array(fmt, array) == encode_frame(fmt, rows)
 

@@ -3,6 +3,7 @@
 
 from repro.cluster import Cluster
 from repro.core import SysProfConfig
+from repro.core.encoding import FormatRegistry, encode_frame
 from repro.netsim import Address, Packet
 from tests.core.helpers import build_monitored_pair, drive_traffic, echo_server
 
@@ -44,7 +45,7 @@ def test_gpa_ignores_garbage_payloads():
     def attacker(ctx):
         sock = yield from ctx.connect("mgmt", 9100)
         yield from ctx.send_message(
-            sock, 64, kind="sysprof-data", meta={"blob": b"\xde\xad\xbe\xef" * 16}
+            sock, 64, kind="sysprof-frame", meta={"blob": b"\xde\xad\xbe\xef" * 16}
         )
         yield from ctx.close(sock)
 
@@ -53,6 +54,53 @@ def test_gpa_ignores_garbage_payloads():
     assert sysprof.gpa.decode_errors >= 1
     # Legitimate records are still intact.
     assert len(sysprof.gpa.query_interactions(node="server")) == 3
+
+
+def _probe_stream(record_format):
+    """A descriptor and a one-record frame for a request class "probe"."""
+    fmt = FormatRegistry().register(*record_format)
+    zero = {"f64": 0.0, "i64": 0, "u32": 0, "u16": 0, "bool": False}
+    record = {name: zero.get(ftype, "") for name, ftype in fmt.fields}
+    record.update(node="server", request_class="probe")
+    return fmt.describe(), encode_frame(fmt, [record])
+
+
+def _send_on_one_connection(cluster, messages):
+    def sender(ctx):
+        sock = yield from ctx.connect("mgmt", 9100)
+        for kind, blob in messages:
+            yield from ctx.send_message(sock, len(blob), kind=kind, meta={"blob": blob})
+        yield from ctx.close(sock)
+
+    cluster.node("client").spawn("raw-sender", sender)
+    cluster.run(until=cluster.sim.now + 1.0)
+
+
+def test_short_frame_counted_and_connection_keeps_ingesting():
+    """Regression: a frame shorter than its 8-byte header used to raise
+    struct.error, killing the connection's handler so the valid frame
+    behind it was never read."""
+    cluster, sysprof = build_monitored_pair()
+    descriptor, frame = _probe_stream(sysprof.lpa("server").record_format)
+    _send_on_one_connection(cluster, [
+        ("sysprof-fmt", descriptor),
+        ("sysprof-frame", frame[:3]),
+        ("sysprof-frame", frame),
+    ])
+    assert sysprof.gpa.decode_errors == 1
+    assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
+
+
+def test_short_descriptor_counted_and_connection_keeps_ingesting():
+    cluster, sysprof = build_monitored_pair()
+    descriptor, frame = _probe_stream(sysprof.lpa("server").record_format)
+    _send_on_one_connection(cluster, [
+        ("sysprof-fmt", descriptor[:3]),
+        ("sysprof-fmt", descriptor),
+        ("sysprof-frame", frame),
+    ])
+    assert sysprof.gpa.decode_errors == 1
+    assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
 
 
 def test_server_crash_mid_run_leaves_partial_records():

@@ -48,7 +48,6 @@ INDIRECT = {
     "FrameDecoder",    # gpa.stats() folds frames/records/filter counters
     "SketchStore",     # gpa.stats() exposes sketch_rows / sketch_series
     "CalendarQueue",   # Simulator.stats() folds store_* counters
-    "HeapStore",       # Simulator.stats() folds store_* counters
     "ChannelPublisher",  # daemon.stats() / zone_gpa.stats() flatten its counters
     "ParentLink",      # publisher.stats() nests it under "parent_link"
 }

@@ -19,9 +19,8 @@ HOG_START = 0.75  # absolute simulated time
 HOG_DURATION = 2.0
 
 
-@pytest.fixture
-def incident():
-    """Run the scripted incident once; yield (supervisor, events)."""
+def _stage_incident():
+    """Run the scripted incident; return (supervisor, streamed events)."""
     supervisor = Supervisor("nfs", slice_width=0.1)
     client = ServiceClient(supervisor)
     sub = client.subscribe(events=["alert", "anomaly"])
@@ -32,7 +31,13 @@ def incident():
         "params": {"duration": HOG_DURATION, "utilization": 0.95},
     }])
     supervisor.run(7.5)  # hog ends at 2.75; leave room for both clears
-    events = client.poll(sub)
+    return supervisor, client.poll(sub)
+
+
+@pytest.fixture(scope="module")
+def incident():
+    """The incident, staged once and only read by every test here."""
+    supervisor, events = _stage_incident()
     yield supervisor, events
     supervisor.shutdown()
 
@@ -98,20 +103,8 @@ def test_incident_is_seed_deterministic(incident):
     assert supervisor.engine.anomaly_alerts >= 1
     # Replay the identical incident: the full event stream (kinds,
     # states, rule names, timestamps) must reproduce exactly.
-    replay_sup = Supervisor("nfs", slice_width=0.1)
-    try:
-        client = ServiceClient(replay_sup)
-        sub = client.subscribe(events=["alert", "anomaly"])
-        replay_sup.run(0.5)
-        client.inject_fault(events=[{
-            "at": HOG_START - replay_sup.now, "kind": "cpu_hog",
-            "target": HOG_NODE,
-            "params": {"duration": HOG_DURATION, "utilization": 0.95},
-        }])
-        replay_sup.run(7.5)
-        replay = client.poll(sub)
-    finally:
-        replay_sup.shutdown()
+    replay_sup, replay = _stage_incident()
+    replay_sup.shutdown()
     strip = [
         (e["event"], e["seq"], e["at"], e["data"]["state"],
          e["data"]["alert"]["rule"])

@@ -1,11 +1,11 @@
-"""Calendar-queue event store: ordering parity, window mechanics, slots.
+"""Calendar-queue event store: window mechanics and slot recycling.
 
-The calendar queue is the default future-event backend; the binary heap
-(``Simulator(event_store="heap")``) stays as the determinism oracle.
-These tests pin the load-bearing claims: all four
-``{fast_lane} x {event_store}`` combinations dispatch in exactly the
-same order, overflow spills migrate without ever splitting a tick, and
-the recycled slot columns can never be corrupted by a stale handle.
+The calendar queue is the engine's only future-event store; its dispatch
+order is pinned against stored golden digests by
+``test_dispatch_order_matches_golden``.  These tests pin the remaining
+load-bearing claims: overflow spills migrate without ever splitting a
+tick, and the recycled slot columns can never be corrupted by a stale
+handle.
 """
 
 import random
@@ -15,32 +15,11 @@ import pytest
 from repro.sim import SimError, Simulator
 from repro.sim.engine import CalendarQueue, DEFAULT_CALENDAR_WIDTH
 
-from tests.sim.test_fast_lane import _random_workload
 
-_CONFIGS = [
-    (fast, store) for fast in (False, True) for store in ("heap", "calendar")
-]
-
-
-@pytest.mark.parametrize("seed", [3, 11, 42])
-def test_all_backend_combinations_match(seed):
-    traces = {}
-    for fast, store in _CONFIGS:
-        sim = Simulator(fast_lane=fast, event_store=store)
-        order = []
-        _random_workload(sim, order, seed)
-        sim.run()
-        traces[(fast, store)] = (order, sim.now)
-    reference = traces[(False, "heap")]
-    for config, trace in traces.items():
-        assert trace == reference, config
-
-
-@pytest.mark.parametrize("store", ["heap", "calendar"])
-def test_far_future_timers_fire_in_order(store):
+def test_far_future_timers_fire_in_order():
     """Timers far beyond the calendar horizon (overflow spills) still fire
     in exact (time, seq) order after the window jumps forward."""
-    sim = Simulator(event_store=store)
+    sim = Simulator()
     width = DEFAULT_CALENDAR_WIDTH
     fired = []
     rng = random.Random(5)
@@ -51,10 +30,9 @@ def test_far_future_timers_fire_in_order(store):
         sim.schedule(delay, fired.append, (delay, index))
     sim.run()
     assert fired == sorted(fired, key=lambda item: (item[0], item[1]))
-    if store == "calendar":
-        stats = sim.stats()
-        assert stats["store_spills"] > 0  # overflow heap was exercised
-        assert stats["store_pulls"] > 0  # and migrated into the window
+    stats = sim.stats()
+    assert stats["store_spills"] > 0  # overflow heap was exercised
+    assert stats["store_pulls"] > 0  # and migrated into the window
 
 
 def test_same_tick_entries_never_split_across_window_jump():
@@ -88,7 +66,7 @@ def test_calendar_slot_columns_grow_and_recycle():
 
 
 def test_cancelled_calendar_entries_purged_lazily():
-    sim = Simulator(event_store="calendar")
+    sim = Simulator()
     handles = [sim.schedule(10.0 + i, lambda: None) for i in range(300)]
     fired = []
     sim.schedule(500.0, fired.append, "live")
@@ -105,7 +83,7 @@ def test_cancelled_calendar_entries_purged_lazily():
 def test_stale_slot_handle_cannot_cancel_recycled_slot():
     """Regression companion to the pooled-entry guard: once a calendar
     slot is freed and re-used, the old handle's generation mismatches."""
-    sim = Simulator(event_store="calendar")
+    sim = Simulator()
     fired = []
     stale = sim.schedule(1.0, fired.append, "first")
     sim.run()
@@ -120,7 +98,7 @@ def test_stale_slot_handle_cannot_cancel_recycled_slot():
 
 
 def test_cancel_after_dispatch_is_noop():
-    sim = Simulator(event_store="calendar")
+    sim = Simulator()
     fired = []
     handle = sim.schedule(1.0, fired.append, "x")
     sim.run()
@@ -132,7 +110,7 @@ def test_cancel_after_dispatch_is_noop():
 def test_zero_delay_custom_priority_enters_store_in_order():
     """schedule(0, priority=outside the lane bands) routes to the store at
     the *current* tick — the tick <= active_tick push path."""
-    sim = Simulator(event_store="calendar")
+    sim = Simulator()
     order = []
 
     def outer():
