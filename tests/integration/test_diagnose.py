@@ -23,10 +23,16 @@ from repro.observability import DiagnosisEngine
 from tests.core.helpers import build_monitored_pair, drive_traffic
 
 
-def test_smoke_incident_closed_loop():
+def test_smoke_incident_closed_loop(golden):
     result = run_diagnose_experiment(smoke_config())
     assert result.detected
     assert 0.0 < result.detection_latency < 2.0
+    expected = golden["diagnose_smoke"]
+    observed = {
+        "trace_hash": result.trace_hash,
+        "detection_latency": result.detection_latency,
+    }
+    assert observed == expected, "diagnose smoke changed; observed {}".format(observed)
     assert result.blame_correct
     assert result.blamed_node == "backend1"
     assert result.blamed_stage.startswith("kernel")

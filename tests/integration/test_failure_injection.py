@@ -31,8 +31,19 @@ def partition_result():
     return run_failure_experiment(replace(_BASE, scenario="partition"))
 
 
-def test_daemon_crash_is_detected_and_recovers(daemon_crash_result):
+def _assert_golden(result, golden):
+    observed = {
+        "trace_hash": result.trace_hash,
+        "detection_latency": result.detection_latency,
+    }
+    assert observed == golden["failures"][result.scenario], (
+        "{} run changed; observed {}".format(result.scenario, observed)
+    )
+
+
+def test_daemon_crash_is_detected_and_recovers(daemon_crash_result, golden):
     result = daemon_crash_result
+    _assert_golden(result, golden)
     assert result.detected
     # stale_nodes() can only flag the node after stale_threshold of
     # silence, quantized to the probe grid.
@@ -46,8 +57,9 @@ def test_daemon_crash_is_detected_and_recovers(daemon_crash_result):
     assert result.injected == {"daemon_kill": 1, "daemon_restart": 1}
 
 
-def test_partition_outage_backoff_bounds_dials(partition_result):
+def test_partition_outage_backoff_bounds_dials(partition_result, golden):
     result = partition_result
+    _assert_golden(result, golden)
     assert result.detected and result.recovered
     # The daemon saw the peer vanish mid-publish, then retried on the
     # backoff schedule: skips (closed windows) outnumber actual dials.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.common import trace_digest
 from repro.observability import ledger as cpu_ledger
 from repro.service import SCENARIOS, build_scenario
 
@@ -25,13 +26,21 @@ def test_registry_lists_all_builders():
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_boots_and_generates_telemetry(name):
+def test_scenario_boots_and_generates_telemetry(name, golden):
     scenario = build_scenario(name)
     try:
         assert scenario.name == name
         assert scenario.sysprof.monitors
         assert scenario.engine.rules
         assert scenario.injector.fired == 0
+        scenario.cluster.run(until=1.0)
+        gpa = scenario.sysprof.gpa
+        observed = trace_digest(
+            list(gpa.query_interactions()) + list(gpa.class_summaries)
+        )
+        assert observed == golden["scenario_digests"][name], (
+            "{} scenario digest changed; observed {}".format(name, observed)
+        )
         scenario.cluster.run(until=1.5)
         # Continuous traffic: the plane is receiving records/frames.
         gpas = [scenario.sysprof.gpa]
