@@ -9,7 +9,7 @@ of outstanding interactions and so on."
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import mean_field
+from repro.sim.stats import mean_field
 
 
 @dataclass

@@ -8,6 +8,8 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 
+from repro.sim.stats import mean, mean_field  # noqa: F401  (re-exported)
+
 
 def trace_digest(records):
     """A stable content hash of a GPA record trace.
@@ -61,15 +63,6 @@ class Series:
     @property
     def ys(self):
         return [y for _, y in self.points]
-
-
-def mean(values):
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
-
-
-def mean_field(records, key):
-    return mean(record[key] for record in records)
 
 
 def format_table(headers, rows, title=None):

@@ -160,6 +160,17 @@ class Histogram:
         return self.edges[-1]
 
 
+def mean(values):
+    """Arithmetic mean; 0.0 for no values."""
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
+
+
+def mean_field(records, key):
+    """Mean of ``record[key]`` over dict records."""
+    return mean(record[key] for record in records)
+
+
 def percentile(values, q):
     """Exact percentile of a sequence by linear interpolation (q in [0, 100])."""
     if not values:
