@@ -412,18 +412,27 @@ def _frame_header(blob):
     return format_id, count
 
 
-def decode_frame(registry, blob):
-    """Decode one frame blob into ``(format, [row tuples])``."""
+def _frame_payload(registry, blob):
+    """``(format, count, payload)`` of a frame whose payload is exactly
+    ``count`` records; ValueError otherwise.  A zero-width format's
+    frames must be empty: there a count costs no bytes, so a frame could
+    claim a million records (numpy would decode them to ``[]``, the
+    struct path raise from ``range``)."""
     format_id, count = _frame_header(blob)
     fmt = registry.by_id(format_id)
     payload = memoryview(blob)[_FRAME_HEADER.size:]
-    expected = count * fmt.record_size
-    if len(payload) != expected:
+    if len(payload) != count * fmt.record_size or (count and not fmt.record_size):
         raise ValueError(
             "truncated frame: {} payload bytes for {} records of {}B".format(
                 len(payload), count, fmt.record_size
             )
         )
+    return fmt, count, payload
+
+
+def decode_frame(registry, blob):
+    """Decode one frame blob into ``(format, [row tuples])``."""
+    fmt, count, payload = _frame_payload(registry, blob)
     if count == 0:
         return fmt, []
     return fmt, fmt.unpack_rows(payload, count)
@@ -441,14 +450,10 @@ def decode_frame_array(registry, blob):
     """
     if _np is None:
         raise RuntimeError("decode_frame_array requires numpy")
-    format_id, count = _frame_header(blob)
-    fmt = registry.by_id(format_id)
+    fmt, count, payload = _frame_payload(registry, blob)
     dtype = fmt.numpy_dtype()
     if dtype is None:  # pragma: no cover - numpy checked above
         raise RuntimeError("format {} has no numpy layout".format(fmt.name))
-    payload = memoryview(blob)[_FRAME_HEADER.size:]
-    if len(payload) != count * fmt.record_size:
-        raise ValueError("truncated frame for {} records".format(count))
     return fmt, _np.frombuffer(payload, dtype=dtype, count=count)
 
 

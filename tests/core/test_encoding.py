@@ -9,6 +9,9 @@ from repro.core.encoding import (
     FormatRegistry,
     FrameDecoder,
     RecordView,
+    _DESCRIPTOR_HEADER,
+    _FRAME_HEADER,
+    _FRAME_MAGIC,
     _PACK_CHUNK,
     decode_frame,
     encode_frame,
@@ -144,6 +147,22 @@ def test_garbled_descriptor_rejected():
     for blob in garbled:
         with pytest.raises(ValueError):
             FrameDecoder().feed_descriptor(blob)
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+def test_zero_width_frame_claiming_records_rejected(numpy, monkeypatch):
+    """A field-less format is adoptable, but its frames cost no payload
+    bytes per record, so one could claim a million records (numpy
+    decoded that to [], pure Python raised from range()).  Either way it
+    is now a ValueError, and an honest empty frame still decodes."""
+    if not numpy:
+        monkeypatch.setattr(encoding_mod, "_np", None)
+    decoder = FrameDecoder()
+    fmt = decoder.feed_descriptor(_DESCRIPTOR_HEADER.pack(9, 6) + b"ghost|")
+    assert fmt.record_size == 0
+    with pytest.raises(ValueError, match="truncated frame"):
+        decoder.feed(_FRAME_HEADER.pack(_FRAME_MAGIC, 9, 1_000_000))
+    assert decoder.feed(_FRAME_HEADER.pack(_FRAME_MAGIC, 9, 0)) == (fmt, [])
 
 
 def test_self_describing_adopt():

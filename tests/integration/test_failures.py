@@ -1,8 +1,9 @@
 """Failure injection: lossy links, dead analyzers, overloaded daemons."""
 
+import pytest
 
 from repro.cluster import Cluster
-from repro.core import SysProfConfig
+from repro.core import SysProfConfig, encoding
 from repro.core.encoding import FormatRegistry, encode_frame
 from repro.netsim import Address, Packet
 from tests.core.helpers import build_monitored_pair, drive_traffic, echo_server
@@ -96,6 +97,28 @@ def test_short_descriptor_counted_and_connection_keeps_ingesting():
     descriptor, frame = _probe_stream(sysprof.lpa("server").record_format)
     _send_on_one_connection(cluster, [
         ("sysprof-fmt", descriptor[:3]),
+        ("sysprof-fmt", descriptor),
+        ("sysprof-frame", frame),
+    ])
+    assert sysprof.gpa.decode_errors == 1
+    assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+def test_zero_width_frame_counted_and_connection_keeps_ingesting(
+    numpy, monkeypatch
+):
+    """Regression: a frame claiming a million records of a field-less
+    format decoded to [] with numpy and raised from range() without;
+    either way it is now one counted decode error."""
+    if not numpy:
+        monkeypatch.setattr(encoding, "_np", None)
+    cluster, sysprof = build_monitored_pair()
+    descriptor, frame = _probe_stream(sysprof.lpa("server").record_format)
+    _send_on_one_connection(cluster, [
+        ("sysprof-fmt", encoding._DESCRIPTOR_HEADER.pack(999, 6) + b"ghost|"),
+        ("sysprof-frame", encoding._FRAME_HEADER.pack(
+            encoding._FRAME_MAGIC, 999, 1_000_000)),
         ("sysprof-fmt", descriptor),
         ("sysprof-frame", frame),
     ])
