@@ -12,42 +12,19 @@ Run:  python examples/nfs_bottleneck.py [threads_per_client]
 import sys
 
 from repro.analysis import find_bottleneck
-from repro.apps.nfs.service import VirtualStorageService
-from repro.cluster import synchronize
-from repro.core import SysProf, SysProfConfig
 from repro.experiments.common import format_table, mean_field
-from repro.experiments.nfs_storage import NfsExperimentConfig, build_cluster
-from repro.workloads.iozone import IozoneConfig, IozoneResults, spawn_iozone
+from repro.experiments.nfs_storage import NfsExperimentConfig, nfs_scenario
 
 
 def main(threads_per_client=4):
     config = NfsExperimentConfig()
-    cluster = build_cluster(config)
     backends = ["backend1", "backend2"]
-
-    # The nodes' clocks are skewed; NTP-sync so the GPA can correlate.
-    clock_table = synchronize(cluster, "mgmt")
-
-    VirtualStorageService(
-        cluster, "proxy", backends,
-        proxy_parse_cost=config.proxy_parse_cost,
-        proxy_reply_cost=config.proxy_reply_cost,
-    ).start()
-
-    sysprof = SysProf(
-        cluster, SysProfConfig(eviction_interval=0.2), clock_table=clock_table
-    )
-    sysprof.install(monitored=["proxy"] + backends, gpa_node="mgmt")
-    sysprof.start()
-
-    iozone = IozoneConfig(
-        threads=threads_per_client, ops_per_thread=config.ops_per_thread,
-        pipeline=config.pipeline, commit_every=config.commit_every,
-    )
-    results = IozoneResults()
-    for name in ("client1", "client2"):
-        spawn_iozone(cluster.node(name), "proxy", iozone, results)
-    cluster.run(until=cluster.sim.now + config.sim_limit)
+    # The registered nfs scenario with the Figure-4/5 settings: skewed
+    # node clocks NTP-synced to mgmt so the GPA can correlate.
+    with nfs_scenario(threads_per_client, config) as scenario:
+        cluster, sysprof = scenario.cluster, scenario.sysprof
+        results = scenario.app["results"]
+        cluster.run(until=cluster.sim.now + config.sim_limit)
     sysprof.flush()
 
     print("workload: {} RPCs from {} threads, mean client latency {:.2f} ms\n".format(

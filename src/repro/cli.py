@@ -556,7 +556,8 @@ def build_parser():
         "profile", help="self-profile the reproduction under cProfile"
     )
     profile.add_argument("scenario", choices=sorted(SCENARIOS),
-                         help="workload to profile")
+                         help="workload to profile: microbench, sketch, or "
+                              "any registered service scenario")
     profile.add_argument("--smoke", action="store_true",
                          help="tiny workload (CI-sized run)")
     profile.add_argument("--top", type=int, default=15, metavar="N",

@@ -26,13 +26,11 @@ makes same-config runs byte-comparable.
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
-from repro.core import SysProf, SysProfConfig
+from repro.core import SysProfConfig
 from repro.experiments.common import trace_digest
-from repro.faults import FaultInjector, FaultSchedule
-from repro.observability import DiagnosisEngine
-from repro.observability import ledger as cpu_ledger
-from repro.workloads.iozone import IozoneConfig, IozoneResults, spawn_iozone
+from repro.faults import FaultSchedule
+from repro.service.scenarios import build_scenario
+from repro.workloads.iozone import IozoneConfig
 
 
 @dataclass
@@ -105,64 +103,35 @@ class DiagnoseRunResult:
 def run_diagnose_experiment(config=None):
     """One hog incident end to end; returns a :class:`DiagnoseRunResult`."""
     config = config or DiagnoseConfig()
-    ledger = cpu_ledger.install()
-    try:
-        return _run(config, ledger)
-    finally:
-        cpu_ledger.uninstall()
-
-
-def _run(config, ledger):
-    cluster = Cluster(seed=config.seed)
-    for index in range(config.clients):
-        cluster.add_node("client{}".format(index + 1))
-    cluster.add_node("proxy")
-    backend_names = ["backend{}".format(i + 1) for i in range(config.backends)]
-    for name in backend_names:
-        cluster.add_node(name, with_disk=True)
-    cluster.add_node(config.gpa_node)
-
-    from repro.apps.nfs.service import VirtualStorageService
-
-    VirtualStorageService(cluster, "proxy", backend_names).start()
-
-    sysprof = SysProf(
-        cluster,
-        SysProfConfig(
+    with build_scenario(
+        "nfs", seed=config.seed, clients=config.clients,
+        backends=config.backends, gpa_node=config.gpa_node,
+        iozone=IozoneConfig(
+            threads=config.threads_per_client,
+            ops_per_thread=config.ops_per_thread,
+        ),
+        monitoring=SysProfConfig(
             eviction_interval=config.eviction_interval,
             latency_sketches=True,
             sketch_alpha=config.sketch_alpha,
             stale_threshold=config.stale_threshold,
         ),
-    )
-    sysprof.install(monitored=["proxy"] + backend_names, gpa_node=config.gpa_node)
-    sysprof.start()
+        rules=(config.rule,),
+        diagnosis={
+            "lookback": config.lookback,
+            "eval_interval": config.eval_interval,
+            "drill_factor": config.drill_factor,
+        },
+        schedule=FaultSchedule().cpu_hog(
+            config.hog_start, config.hog_node, config.hog_duration,
+            utilization=config.hog_utilization,
+        ),
+    ) as scenario:
+        return _run(config, scenario)
 
-    engine = DiagnosisEngine(
-        sysprof,
-        rules=[config.rule],
-        ledger=ledger,
-        lookback=config.lookback,
-        eval_interval=config.eval_interval,
-        drill_factor=config.drill_factor,
-    )
 
-    injector = FaultInjector(cluster, sysprof=sysprof)
-    schedule = FaultSchedule().cpu_hog(
-        config.hog_start, config.hog_node, config.hog_duration,
-        utilization=config.hog_utilization,
-    )
-    injector.arm(schedule)
-
-    results = IozoneResults()
-    iozone_config = IozoneConfig(
-        threads=config.threads_per_client, ops_per_thread=config.ops_per_thread
-    )
-    for index in range(config.clients):
-        spawn_iozone(
-            cluster.node("client{}".format(index + 1)), "proxy",
-            iozone_config, results,
-        )
+def _run(config, scenario):
+    cluster, sysprof, engine = scenario.cluster, scenario.sysprof, scenario.engine
 
     # Dashboard snapshot mid-incident (pure callback: reads engine state,
     # charges nothing, so it cannot perturb the run).
@@ -177,7 +146,8 @@ def _run(config, ledger):
     cluster.run(until=config.sim_limit)
     sysprof.flush()
 
-    hog_at = injector.log[0]["at"] if injector.log else config.hog_start
+    log = scenario.injector.log
+    hog_at = log[0]["at"] if log else config.hog_start
     hog_end = hog_at + config.hog_duration
     alert = next(
         (a for a in engine.alerts if a.rule.text == config.rule), None
@@ -212,7 +182,7 @@ def _run(config, ledger):
         interval_before=episode["interval_before"] if episode else 0.0,
         interval_during=episode["interval_during"] if episode else 0.0,
         monitoring_share_during=share_during,
-        monitoring_share_overall=ledger.monitoring_share(config.hog_node),
+        monitoring_share_overall=scenario.ledger.monitoring_share(config.hog_node),
         alerts_fired=engine.alerts_fired,
         evaluations=engine.evaluations,
         sketch_rows=sysprof.gpa.sketches.rows_ingested,

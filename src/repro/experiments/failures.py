@@ -19,13 +19,13 @@ Everything is seeded: two runs with the same config produce identical
 fault times, identical detection latencies, and identical trace digests.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.cluster import Cluster
-from repro.core import SysProf, SysProfConfig
+from repro.core import SysProfConfig
 from repro.experiments.common import trace_digest
-from repro.faults import FaultInjector, FaultSchedule
-from repro.workloads.iozone import IozoneConfig, IozoneResults, spawn_iozone
+from repro.faults import FaultSchedule
+from repro.service.scenarios import build_scenario
+from repro.workloads.iozone import IozoneConfig
 
 SCENARIOS = ("daemon-crash", "partition")
 
@@ -90,41 +90,20 @@ def build_schedule(config):
 def run_failure_experiment(config=None):
     """One scripted outage; returns a :class:`FailureRunResult`."""
     config = config or FailureExperimentConfig()
-    cluster = Cluster(seed=config.seed)
-    for index in range(config.clients):
-        cluster.add_node("client{}".format(index + 1))
-    cluster.add_node("proxy")
-    backend_names = ["backend{}".format(i + 1) for i in range(config.backends)]
-    for name in backend_names:
-        cluster.add_node(name, with_disk=True)
-    cluster.add_node(config.gpa_node)
-
-    from repro.apps.nfs.service import VirtualStorageService
-
-    VirtualStorageService(cluster, "proxy", backend_names).start()
-
-    sysprof = SysProf(
-        cluster,
-        SysProfConfig(
+    scenario = build_scenario(
+        "nfs", seed=config.seed, clients=config.clients,
+        backends=config.backends, gpa_node=config.gpa_node,
+        iozone=IozoneConfig(
+            threads=config.threads_per_client,
+            ops_per_thread=config.ops_per_thread,
+        ),
+        monitoring=SysProfConfig(
             eviction_interval=config.eviction_interval,
             stale_threshold=config.stale_threshold,
         ),
+        rules=(), schedule=build_schedule(config),
     )
-    sysprof.install(monitored=["proxy"] + backend_names, gpa_node=config.gpa_node)
-    sysprof.start()
-
-    injector = FaultInjector(cluster, sysprof=sysprof)
-    injector.arm(build_schedule(config))
-
-    results = IozoneResults()
-    iozone_config = IozoneConfig(
-        threads=config.threads_per_client, ops_per_thread=config.ops_per_thread
-    )
-    for index in range(config.clients):
-        spawn_iozone(
-            cluster.node("client{}".format(index + 1)), "proxy",
-            iozone_config, results,
-        )
+    cluster, sysprof, injector = scenario.cluster, scenario.sysprof, scenario.injector
 
     # Statically pre-scheduled suspicion probes: pure callbacks on a fixed
     # grid, so they cost no model CPU and are identical across same-seed
@@ -152,7 +131,8 @@ def run_failure_experiment(config=None):
     for tick in range(1, ticks + 1):
         cluster.sim.schedule(tick * config.check_interval, probe)
 
-    cluster.run(until=config.sim_limit)
+    with scenario:
+        cluster.run(until=config.sim_limit)
     sysprof.flush()
 
     fault_at = injector.log[0]["at"] if injector.log else config.fault_start
@@ -180,8 +160,6 @@ def run_failure_experiment(config=None):
 
 def run_failure_suite(config=None):
     """Both scenarios at the shared config; returns ``{scenario: result}``."""
-    from dataclasses import replace
-
     config = config or FailureExperimentConfig()
     return {
         scenario: run_failure_experiment(replace(config, scenario=scenario))

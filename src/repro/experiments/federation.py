@@ -27,14 +27,13 @@ appends to ``BENCH_federation.json``) both drive.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.cluster import Cluster, build_spine_leaf
-from repro.core import SysProf, SysProfConfig, ZoneSpec
+from repro.core import SysProfConfig
 from repro.experiments.common import record_trajectory
-from repro.faults import FaultInjector, FaultSchedule
-from repro.workloads.synthetic import install_synthetic_load
+from repro.faults import FaultSchedule
+from repro.service.scenarios import build_scenario
 
 __all__ = [
     "BENCH_PATH",
@@ -128,41 +127,34 @@ def _percentile(values, p):
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
-def run_federation_point(config=None):
-    """Build, run, and measure one scaling point."""
-    config = config or FederationConfig()
-    started = time.perf_counter()
+def _build(config, federated=True, standbys=False, **monitoring):
+    """The registered ``federation`` scenario at ``config``'s shape and
+    monitoring plane (plus ``monitoring`` overrides), without SLO rules;
+    returns it with its zone count."""
     zones = config.zones or default_zones(config.nodes)
-    per_rack = max(1, config.nodes // zones)
-    cluster = Cluster(seed=config.seed)
-    topology = build_spine_leaf(
-        cluster, racks=zones, nodes_per_rack=per_rack, mgmt_node="mgmt"
-    )
-    sysprof = SysProf(
-        cluster,
-        SysProfConfig(
+    scenario = build_scenario(
+        "federation", seed=config.seed, zones=zones,
+        nodes_per_zone=max(1, config.nodes // zones),
+        federated=federated, standbys=standbys,
+        monitoring=SysProfConfig(
             eviction_interval=config.eviction_interval,
             forward_interval=config.forward_interval,
             eviction_stagger=config.eviction_stagger,
             stale_threshold=config.stale_threshold,
-            latency_sketches=False,  # synthetic LPAs supply sketch rows
+            **monitoring,
         ),
-    )
-    if config.federated:
-        specs = [
-            ZoneSpec(name=rack.name, gpa_node=rack.gpa_node,
-                     members=list(rack.nodes))
-            for rack in topology.racks
-        ]
-        sysprof.install(zones=specs, gpa_node="mgmt")
-    else:
-        sysprof.install(monitored=topology.node_names, gpa_node="mgmt")
-    install_synthetic_load(
-        sysprof,
         request_classes=config.request_classes,
-        samples_per_window=config.samples_per_window,
+        samples_per_window=config.samples_per_window, rules=(),
     )
-    sysprof.start()
+    return scenario, zones
+
+
+def run_federation_point(config=None):
+    """Build, run, and measure one scaling point."""
+    config = config or FederationConfig()
+    started = time.perf_counter()
+    scenario, zones = _build(config, federated=config.federated)
+    cluster, sysprof = scenario.cluster, scenario.sysprof
 
     gpa = sysprof.gpa
     ages = []
@@ -176,7 +168,8 @@ def run_federation_point(config=None):
             cluster.sim.schedule(config.sample_interval, sample_staleness)
 
     cluster.sim.schedule(config.warmup, sample_staleness)
-    cluster.run(until=config.duration)
+    with scenario:
+        cluster.run(until=config.duration)
 
     mgmt_kernel = cluster.node("mgmt").kernel
     elapsed = cluster.sim.now or config.duration
@@ -186,7 +179,7 @@ def run_federation_point(config=None):
             zone_rows += zone_gpa.rows_forwarded
             zone_forwards += zone_gpa.forwards
     return FederationPoint(
-        nodes=zones * per_rack,
+        nodes=len(sysprof.monitors),
         zones=zones if config.federated else 0,
         federated=config.federated,
         duration=elapsed,
@@ -216,20 +209,9 @@ def run_federation_sweep(node_counts=(16, 64, 256), base_config=None,
     points = []
     for nodes in node_counts:
         for federated in modes:
-            config = FederationConfig(
-                nodes=nodes,
-                zones=base.zones or default_zones(nodes),
+            config = replace(
+                base, nodes=nodes, zones=base.zones or default_zones(nodes),
                 federated=federated,
-                eviction_interval=base.eviction_interval,
-                forward_interval=base.forward_interval,
-                eviction_stagger=base.eviction_stagger,
-                stale_threshold=base.stale_threshold,
-                request_classes=base.request_classes,
-                samples_per_window=base.samples_per_window,
-                sample_interval=base.sample_interval,
-                warmup=base.warmup,
-                duration=base.duration,
-                seed=base.seed,
             )
             points.append(run_federation_point(config))
     return {"points": points}
@@ -297,47 +279,18 @@ def run_partition_point(config=None, scenario="gpa", partition_start=1.0,
     """
     config = config or smoke_config()
     started = time.perf_counter()
-    zones = config.zones or default_zones(config.nodes)
-    per_rack = max(1, config.nodes // zones)
-    cluster = Cluster(seed=config.seed)
-    topology = build_spine_leaf(
-        cluster, racks=zones, nodes_per_rack=per_rack, mgmt_node="mgmt"
+    # Bound the return probe so the settle window after heal is enough
+    # for every link to make it back to its primary.
+    built, zones = _build(
+        config, standbys=True, reparent_probe_base=0.25, reparent_probe_cap=1.0
     )
-    sysprof = SysProf(
-        cluster,
-        SysProfConfig(
-            eviction_interval=config.eviction_interval,
-            forward_interval=config.forward_interval,
-            eviction_stagger=config.eviction_stagger,
-            stale_threshold=config.stale_threshold,
-            latency_sketches=False,
-            # Bound the return probe so the settle window after heal is
-            # enough for every link to make it back to its primary.
-            reparent_probe_base=0.25,
-            reparent_probe_cap=1.0,
-        ),
-    )
-    specs = [
-        ZoneSpec(name=rack.name, gpa_node=rack.gpa_node,
-                 members=list(rack.nodes))
-        for rack in topology.racks
-    ]
-    if len(specs) > 1:
-        for index, spec in enumerate(specs):
-            spec.standby = specs[(index + 1) % len(specs)].name
-    sysprof.install(zones=specs, gpa_node="mgmt")
-    install_synthetic_load(
-        sysprof,
-        request_classes=config.request_classes,
-        samples_per_window=config.samples_per_window,
-    )
-    sysprof.start()
-
-    target = specs[0].name
-    standby = specs[0].standby or ""
+    cluster, sysprof = built.cluster, built.sysprof
     federation = sysprof.federation
-    target_members = list(federation.zone(target).members)
-    injector = FaultInjector(cluster, sysprof=sysprof)
+    target_zone = federation.all_zones()[0]
+    target = target_zone.zone
+    standby = target_zone.standby or ""
+    target_members = list(target_zone.members)
+    injector = built.injector
     injector.arm(
         FaultSchedule().parent_partition_window(
             partition_start, partition_duration, target, scope=scenario
@@ -363,7 +316,8 @@ def run_partition_point(config=None, scenario="gpa", partition_start=1.0,
             cluster.sim.schedule(config.sample_interval, sample_members)
 
     cluster.sim.schedule(partition_start, sample_members)
-    cluster.run(until=duration)
+    with built:
+        cluster.run(until=duration)
 
     links = []
     if scenario == "gpa":
@@ -409,7 +363,7 @@ def run_partition_point(config=None, scenario="gpa", partition_start=1.0,
     bound = detect + 2.0 * config.eviction_interval + config.sample_interval
     return PartitionPoint(
         scenario=scenario,
-        nodes=zones * per_rack,
+        nodes=len(sysprof.monitors),
         zones=zones,
         target_zone=target,
         standby_zone=standby,

@@ -14,13 +14,11 @@ reports, per client thread count:
 
 from dataclasses import dataclass
 
-from repro.apps.nfs.service import VirtualStorageService
-from repro.cluster import Cluster, NodeClock, synchronize
-from repro.core import SysProf, SysProfConfig
+from repro.core import SysProfConfig
 from repro.experiments.common import mean_field, trace_digest
 from repro.experiments.runner import run_points
-from repro.ossim.costs import CostModel
-from repro.workloads.iozone import IozoneConfig, IozoneResults, spawn_iozone
+from repro.service.scenarios import build_scenario
+from repro.workloads.iozone import IozoneConfig
 
 
 @dataclass
@@ -57,68 +55,41 @@ class NfsExperimentConfig:
     syscall_stats: bool = False  # per-syscall aggregation LPA (more probes)
 
 
-def build_cluster(config):
-    costs = CostModel().override(disk_transfer_bps=config.disk_transfer_bps)
-    cluster = Cluster(seed=config.seed, costs=costs)
-    for index in range(config.clients):
-        cluster.add_node("client{}".format(index + 1))
-    # Per-node clock skew keeps the GPA's NTP correction honest.
-    skews = (0.120, -0.045, 0.090)
-    cluster.add_node(
-        "proxy",
-        clock=NodeClock(offset=skews[0] if config.clock_skew else 0.0),
+def nfs_scenario(threads_per_client, config=None):
+    """The registered ``nfs`` scenario set up as one Figure-4/5 point:
+    finite iozone traffic, skewed NTP-synced clocks, no SLO rules."""
+    config = config or NfsExperimentConfig()
+    return build_scenario(
+        "nfs", seed=config.seed, clients=config.clients,
+        backends=config.backends,
+        iozone=IozoneConfig(
+            threads=threads_per_client,
+            ops_per_thread=config.ops_per_thread,
+            rewrite=config.rewrite,
+            pipeline=config.pipeline,
+            commit_every=config.commit_every,
+        ),
+        clock_skew=config.clock_skew,
+        disk_transfer_bps=config.disk_transfer_bps,
+        proxy_costs={
+            "proxy_parse_cost": config.proxy_parse_cost,
+            "proxy_reply_cost": config.proxy_reply_cost,
+        },
+        monitoring=SysProfConfig(
+            eviction_interval=config.eviction_interval,
+            syscall_stats=config.syscall_stats,
+        ),
+        rules=(),
     )
-    for index in range(config.backends):
-        cluster.add_node(
-            "backend{}".format(index + 1),
-            with_disk=True,
-            clock=NodeClock(
-                offset=skews[1 + index % 2] if config.clock_skew else 0.0
-            ),
-        )
-    cluster.add_node("mgmt")
-    return cluster
 
 
 def run_nfs_experiment(threads_per_client, config=None):
     """One point of Figures 4/5 at the given per-client thread count."""
     config = config or NfsExperimentConfig()
-    cluster = build_cluster(config)
-    backend_names = ["backend{}".format(i + 1) for i in range(config.backends)]
-
-    clock_table = synchronize(cluster, "mgmt") if config.clock_skew else None
-
-    service = VirtualStorageService(
-        cluster, "proxy", backend_names,
-        proxy_parse_cost=config.proxy_parse_cost,
-        proxy_reply_cost=config.proxy_reply_cost,
-    ).start()
-
-    sysprof = SysProf(
-        cluster,
-        SysProfConfig(
-            eviction_interval=config.eviction_interval,
-            syscall_stats=config.syscall_stats,
-        ),
-        clock_table=clock_table,
-    )
-    sysprof.install(monitored=["proxy"] + backend_names, gpa_node="mgmt")
-    sysprof.start()
-
-    iozone_config = IozoneConfig(
-        threads=threads_per_client,
-        ops_per_thread=config.ops_per_thread,
-        rewrite=config.rewrite,
-        pipeline=config.pipeline,
-        commit_every=config.commit_every,
-    )
-    results = IozoneResults()
-    for index in range(config.clients):
-        spawn_iozone(
-            cluster.node("client{}".format(index + 1)), "proxy",
-            iozone_config, results,
-        )
-    cluster.run(until=cluster.sim.now + config.sim_limit)
+    with nfs_scenario(threads_per_client, config) as scenario:
+        cluster, sysprof = scenario.cluster, scenario.sysprof
+        results = scenario.app["results"]
+        cluster.run(until=cluster.sim.now + config.sim_limit)
     if results.threads_done != config.clients * threads_per_client:
         raise RuntimeError(
             "iozone did not finish within the simulation limit "
@@ -128,6 +99,7 @@ def run_nfs_experiment(threads_per_client, config=None):
         )
     sysprof.flush()
 
+    backend_names = ["backend{}".format(i + 1) for i in range(config.backends)]
     proxy_ip = cluster.node("proxy").ip
     proxy_records = [
         record

@@ -11,25 +11,15 @@ application throughput decrease with SysProf enabled (<2%) against the
 throughput gain RA-DWCS buys (>14%).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.apps.rubis.requests import BIDDING, COMMENT
-from repro.apps.rubis.site import RubisSite
-from repro.apps.scheduling import (
-    DwcsScheduler,
-    DwcsStream,
-    LoadMonitor,
-    RequestDispatcher,
-    ResourceAwareRouter,
-    RoundRobinRouter,
-)
-from repro.cluster import Cluster
-from repro.core import SysProf, SysProfConfig
+from repro.core import SysProfConfig
 from repro.experiments.common import trace_digest
 from repro.experiments.runner import run_points
-from repro.workloads.httperf import HttperfConfig, spawn_httperf
+from repro.service.scenarios import build_scenario
+from repro.workloads.httperf import HttperfConfig
 
-SERVLETS = ("servlet1", "servlet2")
 WARMUP = 1.0
 
 
@@ -71,64 +61,28 @@ class RubisRunResult:
 def run_rubis_experiment(scheduler="dwcs", config=None, inject_load=True):
     """One full run; ``scheduler`` is ``"dwcs"`` or ``"radwcs"``."""
     config = config or RubisExperimentConfig()
-    if scheduler not in ("dwcs", "radwcs"):
-        raise ValueError("scheduler must be 'dwcs' or 'radwcs'")
-    if scheduler == "radwcs" and not config.monitor:
-        raise ValueError("radwcs requires monitoring (it consumes SysProf data)")
-
-    cluster = Cluster(seed=config.seed)
-    cluster.add_node("client")
-    cluster.add_node("apache")
-    for name in SERVLETS:
-        cluster.add_node(name)
-    cluster.add_node("db", with_disk=True)
-    cluster.add_node("mgmt")
-
-    site = RubisSite(cluster, "apache", list(SERVLETS), "db").start()
-
-    sysprof = None
-    if config.monitor:
-        sysprof = SysProf(
-            cluster,
-            SysProfConfig(eviction_interval=0.1),
-        )
-        sysprof.install(monitored=list(SERVLETS), gpa_node="mgmt")
-        sysprof.start()
-
-    dwcs = DwcsScheduler(drop_factor=config.drop_factor)
-    for profile in (BIDDING, COMMENT):
-        dwcs.add_stream(
-            DwcsStream(
-                profile.name, profile.period, profile.window_x, profile.window_y
+    monitoring = SysProfConfig(eviction_interval=0.1) if config.monitor else None
+    with build_scenario(
+        "rubis", seed=config.seed, scheduler=scheduler,
+        httperf=HttperfConfig(
+            sessions_per_class=config.sessions_per_class,
+            rate_per_class=config.rate_per_class,
+            duration=config.duration,
+            start=config.start,
+        ),
+        drop_factor=config.drop_factor,
+        slots_per_servlet=config.slots_per_servlet,
+        monitoring=monitoring, rules=(),
+    ) as scenario:
+        sysprof = scenario.sysprof
+        dwcs, dispatcher = scenario.app["dwcs"], scenario.app["dispatcher"]
+        load_start = config.start + config.load_at
+        if inject_load:
+            scenario.app["site"].inject_cpu_load(
+                "servlet1", start=load_start, duration=config.duration,
+                duty=config.load_duty,
             )
-        )
-    if scheduler == "radwcs":
-        monitor = LoadMonitor(cluster.node("client"), sysprof.hub).start()
-        router = ResourceAwareRouter(list(SERVLETS), monitor)
-    else:
-        router = RoundRobinRouter(list(SERVLETS))
-
-    dispatcher = RequestDispatcher(
-        cluster.node("client"), "apache", site.http_port, list(SERVLETS), dwcs,
-        router=router, slots_per_servlet=config.slots_per_servlet,
-    ).start()
-
-    httperf_config = HttperfConfig(
-        sessions_per_class=config.sessions_per_class,
-        rate_per_class=config.rate_per_class,
-        duration=config.duration,
-        start=config.start,
-    )
-    _tasks, _stats = spawn_httperf(
-        cluster.node("client"), dispatcher, httperf_config, cluster.streams
-    )
-    load_start = config.start + config.load_at
-    if inject_load:
-        site.inject_cpu_load(
-            "servlet1", start=load_start, duration=config.duration,
-            duty=config.load_duty,
-        )
-    cluster.run(until=config.start + config.duration + 2.0)
+        scenario.cluster.run(until=config.start + config.duration + 2.0)
 
     end = config.start + config.duration
     pre = {}
@@ -198,16 +152,9 @@ def monitoring_cost_experiment(config=None):
     config = config or RubisExperimentConfig()
     results = {}
     for monitor in (False, True):
-        run_config = RubisExperimentConfig(
-            duration=config.duration, load_at=config.load_at,
-            load_duty=config.load_duty, rate_per_class=config.rate_per_class,
-            sessions_per_class=config.sessions_per_class,
-            slots_per_servlet=config.slots_per_servlet,
-            drop_factor=config.drop_factor, seed=config.seed,
-            start=config.start, monitor=monitor,
+        result = run_rubis_experiment(
+            "dwcs", replace(config, monitor=monitor), inject_load=False
         )
-        result = run_rubis_experiment("dwcs", run_config, inject_load=False)
-        end = run_config.start + run_config.duration
         results[monitor] = result.pre_total + result.post_total
     baseline, monitored = results[False], results[True]
     overhead_pct = (

@@ -3,8 +3,9 @@ simulated time is spent in *host* time.
 
 SysProf profiles the systems it monitors; this module points the same
 idea at the reproduction itself.  ``python -m repro profile <scenario>``
-runs one of a small set of representative workloads under
-:mod:`cProfile`, then reports three things:
+runs a workload under :mod:`cProfile` — the ``microbench`` engine churn,
+the ``sketch`` ingest loop, or any scenario registered in
+:mod:`repro.service.scenarios` — then reports three things:
 
 * a **package breakdown** — exclusive (self) time aggregated by
   top-level ``repro`` package (``sim``, ``ossim``, ``core``,
@@ -18,7 +19,7 @@ runs one of a small set of representative workloads under
   :func:`repro.observability.tracer.validate_chrome_trace`.
 
 Each scenario also defines an *events* count (engine dispatches, sketch
-updates, NFS operations...) so the report carries an events/s headline
+updates) so the report carries an events/s headline
 comparable to the ``benchmarks/`` numbers.  Scenarios are deterministic;
 only the timings vary between runs.
 """
@@ -29,6 +30,9 @@ import json
 import pstats
 import random
 import time
+
+from repro.service.scenarios import SCENARIOS as REGISTRY
+from repro.service.scenarios import build_scenario
 
 #: Top-level ``repro`` subpackages the breakdown buckets by; everything
 #: else in the tree lands in ``repro (other)`` and non-repro frames
@@ -91,38 +95,26 @@ def _scenario_sketch(smoke):
     return sketch.count + scalar.count
 
 
-def _scenario_nfs(smoke):
-    """One small storage-service run: the full stack — cluster, kernels,
-    monitoring, dissemination, GPA decode."""
-    from repro.experiments import NfsExperimentConfig, run_nfs_experiment
+def _registered(name):
+    """A registered service scenario (:data:`repro.service.SCENARIOS`),
+    built with its defaults and run to 0.5 s (smoke) or 3.0 s; its events
+    are the engine's dispatches."""
+    def run(smoke):
+        with build_scenario(name) as scenario:
+            scenario.cluster.run(until=0.5 if smoke else 3.0)
+            return scenario.sim.stats()["events_scheduled"]
 
-    config = NfsExperimentConfig(
-        ops_per_thread=4 if smoke else 12, sim_limit=200.0
-    )
-    result = run_nfs_experiment(2, config=config)
-    return result.rpc_count
-
-
-def _scenario_rubis(smoke):
-    """One short RUBiS/DWCS run: schedulers, servlet tier, QoS streams."""
-    from repro.experiments import RubisExperimentConfig, run_rubis_experiment
-
-    if smoke:
-        config = RubisExperimentConfig(
-            duration=2.0, rate_per_class=60.0, sessions_per_class=10
-        )
-    else:
-        config = RubisExperimentConfig(duration=8.0)
-    result = run_rubis_experiment(scheduler="dwcs", config=config)
-    return int(round(result.pre_total + result.post_total))
+    return run
 
 
 SCENARIOS = {
     "microbench": (_scenario_microbench, "engine callback-delivery churn"),
     "sketch": (_scenario_sketch, "quantile sketch batch ingest"),
-    "nfs": (_scenario_nfs, "storage-service end-to-end run"),
-    "rubis": (_scenario_rubis, "RUBiS/DWCS end-to-end run"),
 }
+SCENARIOS.update(
+    (name, (_registered(name), builder.__doc__.splitlines()[0].rstrip(".")))
+    for name, builder in REGISTRY.items()
+)
 
 
 # ---------------------------------------------------------------------------

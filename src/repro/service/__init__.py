@@ -1,9 +1,9 @@
 """Live service mode: supervised scenarios with a queryable control
 plane.  The paper's pitch (§1) is *online* diagnosis — monitoring you can query
 and steer while the system serves traffic, not a trace you inspect
-afterwards.  Batch experiments (``repro.experiments``) build a cluster,
-run it to a horizon, and post-process; this package keeps the same
-deterministic simulation *alive*: a :class:`Supervisor` pumps a long-running
+afterwards.  Batch experiments (``repro.experiments``) build a scenario
+from this package's registry, run it to a horizon, and post-process;
+this package also keeps the same deterministic simulation *alive*: a :class:`Supervisor` pumps a long-running
 :class:`Scenario` in bounded slices while a versioned request/response +
 subscription API — served in-process (:class:`ServiceClient`) or over a
 line-delimited JSON socket (:class:`ServiceServer`) — answers queries

@@ -1,24 +1,29 @@
-"""Supervised scenarios: long-running monitored workloads for live mode.
+"""The scenario registry: the one place a monitored cluster is built.
 
-A *scenario* is everything the :class:`~repro.service.supervisor.Supervisor`
-needs to keep a monitored system alive for hours of simulated time: a
-seeded cluster, an application under **continuous** traffic, a SysProf
-installation with latency sketches, a :class:`DiagnosisEngine` with the
-scenario's SLO rules, and an un-armed :class:`FaultInjector` ready for
-mid-flight injections.
+A *scenario* is a seeded cluster, an application and its traffic, a
+SysProf installation, an un-armed (or pre-armed) :class:`FaultInjector`
+and — only when it is given SLO rules — a :class:`DiagnosisEngine`
+charging a CPU ledger the scenario owns.  Everything that runs the
+paper's case studies builds through :func:`build_scenario`: the batch
+experiments (``repro.experiments``) build one, run it to a horizon and
+report; the :class:`~repro.service.supervisor.Supervisor` keeps one
+alive slice by slice; ``repro profile`` and the scenario benchmark time
+one.  A scenario added here is therefore measured and served everywhere.
 
-Traffic is driven by in-sim looping tasks, never by the host pump: a
-client that replenishes itself at slice boundaries would entangle the
-trace with the supervisor's slice width, breaking the service-vs-batch
-determinism contract (``tests/service/test_determinism.py``).  Because
-every generator lives inside the simulation, pumping ``run(until=...)``
-in any sequence of slices replays the identical event stream.
+Construction order is fixed — ledger, cluster, [NTP sync], application,
+SysProf install and start, engine, injector, [armed schedule], traffic —
+because same-time events dispatch in the order they were scheduled.
+
+The defaults are the supervised, **continuous**-traffic forms: traffic is
+driven by in-sim looping tasks, never by the host pump, so pumping
+``run(until=...)`` in any sequence of slices replays the identical event
+stream (``tests/service/test_determinism.py``).
 
 Four scenarios ship (mirroring the paper's evaluation workloads):
 
 ``nfs``
-    Iozone-style writers looping forever through the virtual storage
-    proxy (§3.2's Figure 4/5 system).  The default, and what
+    Iozone-style writers through the virtual storage proxy (§3.2's
+    Figure 4/5 system).  The default, and what
     ``python -m repro serve --smoke`` boots.
 ``rubis``
     The RUBiS site with DWCS-dispatched httperf sessions (Figure 6/7).
@@ -30,18 +35,35 @@ Four scenarios ship (mirroring the paper's evaluation workloads):
     rate per simulated second, no application layer.
 """
 
-from repro.cluster import Cluster, build_spine_leaf
+from dataclasses import replace
+
+from repro.cluster import Cluster, NodeClock, build_spine_leaf, synchronize
 from repro.core import SysProf, SysProfConfig, ZoneSpec
 from repro.faults import FaultInjector
 from repro.observability import DiagnosisEngine
 from repro.observability import ledger as cpu_ledger
 
+#: Each scenario's default monitoring plane (copied per build).
+NFS_MONITORING = SysProfConfig(eviction_interval=0.2, latency_sketches=True)
+RUBIS_MONITORING = SysProfConfig(eviction_interval=0.1, latency_sketches=True)
+# The synthetic LPAs supply the sketch rows of the last two.
+FEDERATION_MONITORING = SysProfConfig(eviction_interval=0.2, forward_interval=0.5)
+SYNTHETIC_MONITORING = SysProfConfig(eviction_interval=0.1)
+
+#: DiagnosisEngine options of a scenario given rules.
+DIAGNOSIS = {"lookback": 1.0, "eval_interval": 0.1}
+
 
 class Scenario:
-    """One built, started, supervised workload (see module docstring)."""
+    """One built, started workload (see module docstring).
+
+    ``app`` holds the application's handles by name (the NFS service and
+    iozone results, the RUBiS site, scheduler and dispatcher).  Use it as
+    a context manager, or call :meth:`close`, to release the ledger.
+    """
 
     def __init__(self, name, cluster, sysprof, engine, injector, ledger,
-                 owns_ledger, description="", traffic=""):
+                 owns_ledger, description="", traffic="", app=None):
         self.name = name
         self.cluster = cluster
         self.sysprof = sysprof
@@ -51,6 +73,7 @@ class Scenario:
         self._owns_ledger = owns_ledger
         self.description = description
         self.traffic = traffic
+        self.app = app or {}
 
     @property
     def sim(self):
@@ -76,6 +99,12 @@ class Scenario:
             cpu_ledger.uninstall()
             self._owns_ledger = False
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
     def describe(self):
         return {
             "name": self.name,
@@ -83,17 +112,33 @@ class Scenario:
             "traffic": self.traffic,
             "nodes": sorted(self.cluster.nodes),
             "monitored": sorted(self.sysprof.monitors),
-            "rules": [rule.name for rule in self.engine.rules],
+            "rules": [rule.name for rule in self.engine.rules] if self.engine else [],
             "federated": self.sysprof.federation is not None,
         }
 
 
-def _install_ledger():
-    """The scenario's CPU ledger: reuse an active one, else install."""
+def _ledger(rules):
+    """The CPU ledger a scenario with rules charges: reuse an active
+    one, else install one the scenario owns.  No rules, no ledger."""
+    if not rules:
+        return None, False
     ledger = cpu_ledger.active()
     if ledger is not None:
         return ledger, False
     return cpu_ledger.install(), True
+
+
+def _monitor(cluster, monitoring, install, rules, diagnosis, ledger,
+             clock_table=None):
+    """SysProf installed by ``install(sysprof)`` and started, then the
+    engine when there are rules."""
+    sysprof = SysProf(cluster, replace(monitoring), clock_table=clock_table)
+    install(sysprof)
+    sysprof.start()
+    engine = None
+    if rules:
+        engine = DiagnosisEngine(sysprof, rules=list(rules), ledger=ledger, **diagnosis)
+    return sysprof, engine
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +146,7 @@ def _install_ledger():
 # ---------------------------------------------------------------------------
 
 
-def _nfs_writer(ctx, server, path, record_bytes, burst, think):
+def _nfs_writer(ctx, server, path, record_bytes=16384, burst=8, think=0.01):
     """One iozone-style thread that never finishes: write bursts with a
     COMMIT and a think pause, looping over a bounded file region."""
     from repro.apps.nfs.client import NfsMount
@@ -119,51 +164,76 @@ def _nfs_writer(ctx, server, path, record_bytes, burst, think):
         yield from ctx.sleep(think)
 
 
-def build_nfs(seed=11, clients=1, backends=2, threads_per_client=2,
-              record_bytes=16384, burst=8, think=0.01,
-              eviction_interval=0.2, sketch_alpha=0.01,
-              rules=("p95(nfs-write) < 8ms",), lookback=1.0,
-              eval_interval=0.1):
-    """The virtual storage service under endless iozone-style writes."""
+def build_nfs(seed=11, clients=1, backends=2, gpa_node="mgmt", iozone=None,
+              clock_skew=False, disk_transfer_bps=None, proxy_costs=None,
+              monitoring=NFS_MONITORING, rules=("p95(nfs-write) < 8ms",),
+              diagnosis=DIAGNOSIS, schedule=None):
+    """The virtual storage service: NFS clients, a proxy, disk backends.
+
+    Traffic is two looping writers per client, or — given ``iozone`` (an
+    :class:`~repro.workloads.iozone.IozoneConfig`) — finite iozone
+    threads whose results land in ``app["results"]``.  ``clock_skew``
+    offsets the proxy and backend clocks and NTP-syncs them to
+    ``gpa_node`` for the GPA to correct.  ``proxy_costs`` holds
+    :class:`VirtualStorageService` cost overrides; ``schedule`` is a
+    :class:`~repro.faults.FaultSchedule` armed before traffic starts.
+    """
     from repro.apps.nfs.service import VirtualStorageService
 
-    ledger, owns = _install_ledger()
-    cluster = Cluster(seed=seed)
+    ledger, owns = _ledger(rules)
+    costs = None
+    if disk_transfer_bps is not None:
+        from repro.ossim.costs import CostModel
+
+        costs = CostModel().override(disk_transfer_bps=disk_transfer_bps)
+    cluster = Cluster(seed=seed, costs=costs)
     client_names = ["client{}".format(i + 1) for i in range(clients)]
     for name in client_names:
         cluster.add_node(name)
-    cluster.add_node("proxy")
+    skews = (0.120, -0.045, 0.090) if clock_skew else (0.0, 0.0, 0.0)
+    cluster.add_node("proxy", clock=NodeClock(offset=skews[0]))
     backend_names = ["backend{}".format(i + 1) for i in range(backends)]
-    for name in backend_names:
-        cluster.add_node(name, with_disk=True)
-    cluster.add_node("mgmt")
-    VirtualStorageService(cluster, "proxy", backend_names).start()
+    for index, name in enumerate(backend_names):
+        cluster.add_node(
+            name, with_disk=True, clock=NodeClock(offset=skews[1 + index % 2])
+        )
+    cluster.add_node(gpa_node)
+    clock_table = synchronize(cluster, gpa_node) if clock_skew else None
+    service = VirtualStorageService(
+        cluster, "proxy", backend_names, **(proxy_costs or {})
+    ).start()
 
-    sysprof = SysProf(cluster, SysProfConfig(
-        eviction_interval=eviction_interval, latency_sketches=True,
-        sketch_alpha=sketch_alpha,
-    ))
-    sysprof.install(monitored=["proxy"] + backend_names, gpa_node="mgmt")
-    sysprof.start()
-    engine = DiagnosisEngine(
-        sysprof, rules=list(rules), ledger=ledger,
-        lookback=lookback, eval_interval=eval_interval,
+    sysprof, engine = _monitor(
+        cluster, monitoring,
+        lambda sp: sp.install(monitored=["proxy"] + backend_names, gpa_node=gpa_node),
+        rules, diagnosis, ledger, clock_table,
     )
     injector = FaultInjector(cluster, sysprof=sysprof)
-    for client in client_names:
-        node = cluster.node(client)
-        for thread_id in range(threads_per_client):
-            path = "/data/{}/file{}".format(client, thread_id)
-            node.spawn(
-                "writer-{}-t{}".format(client, thread_id),
-                _nfs_writer, "proxy", path, record_bytes, burst, think,
-            )
+    if schedule is not None:
+        injector.arm(schedule)
+    results = None
+    if iozone is None:
+        traffic = "{} clients x 2 looping iozone writers".format(clients)
+        for client in client_names:
+            node = cluster.node(client)
+            for thread_id in range(2):
+                node.spawn(
+                    "writer-{}-t{}".format(client, thread_id), _nfs_writer,
+                    "proxy", "/data/{}/file{}".format(client, thread_id),
+                )
+    else:
+        from repro.workloads.iozone import IozoneResults, spawn_iozone
+
+        traffic = "{} clients x {} iozone threads x {} ops".format(
+            clients, iozone.threads, iozone.ops_per_thread
+        )
+        results = IozoneResults()
+        for client in client_names:
+            spawn_iozone(cluster.node(client), "proxy", iozone, results)
     return Scenario(
         "nfs", cluster, sysprof, engine, injector, ledger, owns,
         description="virtual storage proxy + {} backends".format(backends),
-        traffic="{} clients x {} looping iozone writers".format(
-            clients, threads_per_client
-        ),
+        traffic=traffic, app={"service": service, "results": results},
     )
 
 
@@ -172,28 +242,36 @@ def build_nfs(seed=11, clients=1, backends=2, threads_per_client=2,
 # ---------------------------------------------------------------------------
 
 
-def build_rubis(seed=29, sessions_per_class=30, rate_per_class=150.0,
-                traffic_horizon=3600.0, eviction_interval=0.1,
-                rules=("p95(bidding) < 100ms",), lookback=1.0,
-                eval_interval=0.1):
+def build_rubis(seed=29, httperf=None, scheduler="dwcs", drop_factor=None,
+                slots_per_servlet=12, monitoring=RUBIS_MONITORING,
+                rules=("p95(bidding) < 100ms",), diagnosis=DIAGNOSIS):
     """The RUBiS site under DWCS-dispatched httperf sessions.
 
-    ``traffic_horizon`` bounds how long the generators keep producing
-    (simulated seconds) — effectively "forever" for a service session;
-    raise it for longer supervised runs.
+    ``httperf`` (an :class:`~repro.workloads.httperf.HttperfConfig`)
+    defaults to 30 sessions per class at 150 req/s for an hour of
+    simulated time — effectively "forever" for a service session.
+    ``scheduler="radwcs"`` routes on SysProf node statistics;
+    ``monitoring=None`` builds the unmonitored baseline.
     """
+    if scheduler not in ("dwcs", "radwcs"):
+        raise ValueError("scheduler must be 'dwcs' or 'radwcs'")
+    if scheduler == "radwcs" and monitoring is None:
+        raise ValueError("radwcs requires monitoring (it consumes SysProf data)")
     from repro.apps.rubis.requests import BIDDING, COMMENT
     from repro.apps.rubis.site import RubisSite
     from repro.apps.scheduling import (
         DwcsScheduler,
         DwcsStream,
+        LoadMonitor,
         RequestDispatcher,
+        ResourceAwareRouter,
         RoundRobinRouter,
     )
     from repro.workloads.httperf import HttperfConfig, spawn_httperf
 
+    httperf = httperf or HttperfConfig(duration=3600.0)
     servlets = ("servlet1", "servlet2")
-    ledger, owns = _install_ledger()
+    ledger, owns = _ledger(rules if monitoring is not None else ())
     cluster = Cluster(seed=seed)
     cluster.add_node("client")
     cluster.add_node("apache")
@@ -203,43 +281,38 @@ def build_rubis(seed=29, sessions_per_class=30, rate_per_class=150.0,
     cluster.add_node("mgmt")
     site = RubisSite(cluster, "apache", list(servlets), "db").start()
 
-    sysprof = SysProf(cluster, SysProfConfig(
-        eviction_interval=eviction_interval, latency_sketches=True,
-    ))
-    sysprof.install(monitored=list(servlets), gpa_node="mgmt")
-    sysprof.start()
-    engine = DiagnosisEngine(
-        sysprof, rules=list(rules), ledger=ledger,
-        lookback=lookback, eval_interval=eval_interval,
-    )
+    sysprof = engine = None
+    if monitoring is not None:
+        sysprof, engine = _monitor(
+            cluster, monitoring,
+            lambda sp: sp.install(monitored=list(servlets), gpa_node="mgmt"),
+            rules, diagnosis, ledger,
+        )
     injector = FaultInjector(cluster, sysprof=sysprof)
 
-    dwcs = DwcsScheduler()
+    dwcs = DwcsScheduler(drop_factor=drop_factor)
     for profile in (BIDDING, COMMENT):
         dwcs.add_stream(DwcsStream(
             profile.name, profile.period, profile.window_x, profile.window_y
         ))
+    client = cluster.node("client")
+    if scheduler == "radwcs":
+        monitor = LoadMonitor(client, sysprof.hub).start()
+        router = ResourceAwareRouter(list(servlets), monitor)
+    else:
+        router = RoundRobinRouter(list(servlets))
     dispatcher = RequestDispatcher(
-        cluster.node("client"), "apache", site.http_port, list(servlets),
-        dwcs, router=RoundRobinRouter(list(servlets)),
+        client, "apache", site.http_port, list(servlets), dwcs,
+        router=router, slots_per_servlet=slots_per_servlet,
     ).start()
-    spawn_httperf(
-        cluster.node("client"), dispatcher,
-        HttperfConfig(
-            sessions_per_class=sessions_per_class,
-            rate_per_class=rate_per_class,
-            duration=traffic_horizon,
-        ),
-        cluster.streams,
-    )
+    spawn_httperf(client, dispatcher, httperf, cluster.streams)
     return Scenario(
         "rubis", cluster, sysprof, engine, injector, ledger, owns,
-        description="RUBiS site: apache + {} servlets + db".format(
-            len(servlets)
-        ),
+        description="RUBiS site: apache + {} servlets + db".format(len(servlets)),
         traffic="httperf, {} sessions/class at {:.0f} req/s for {:.0f}s".format(
-            sessions_per_class, rate_per_class, traffic_horizon
+            httperf.sessions_per_class, httperf.rate_per_class, httperf.duration
         ),
+        app={"site": site, "dwcs": dwcs, "dispatcher": dispatcher},
     )
 
 
@@ -248,45 +321,48 @@ def build_rubis(seed=29, sessions_per_class=30, rate_per_class=150.0,
 # ---------------------------------------------------------------------------
 
 
-def build_federation(seed=19, zones=2, nodes_per_zone=3,
-                     eviction_interval=0.2, forward_interval=0.5,
+def build_federation(seed=19, zones=2, nodes_per_zone=3, federated=True,
+                     standbys=False, monitoring=FEDERATION_MONITORING,
                      request_classes=("rpc",), samples_per_window=16,
-                     rules=("staleness(r0n0) < 2s",), lookback=1.0,
-                     eval_interval=0.1):
-    """Spine/leaf zones condensing synthetic telemetry to a root GPA."""
+                     rules=("staleness(r0n0) < 2s",), diagnosis=DIAGNOSIS):
+    """Spine/leaf racks of members shipping synthetic telemetry.
+
+    Federated, each rack's zone GPA condenses its members to the root on
+    ``mgmt`` (``standbys``: zone ``i`` covers for zone ``i+1``, a ring);
+    flat, every member reports to the root and the rack GPA hosts idle.
+    """
     from repro.workloads.synthetic import install_synthetic_load
 
-    ledger, owns = _install_ledger()
+    ledger, owns = _ledger(rules)
     cluster = Cluster(seed=seed)
     topology = build_spine_leaf(
         cluster, racks=zones, nodes_per_rack=nodes_per_zone, mgmt_node="mgmt"
     )
-    sysprof = SysProf(cluster, SysProfConfig(
-        eviction_interval=eviction_interval,
-        forward_interval=forward_interval,
-        latency_sketches=False,  # the synthetic LPAs supply sketch rows
-    ))
-    specs = [
-        ZoneSpec(name=rack.name, gpa_node=rack.gpa_node,
-                 members=list(rack.nodes))
-        for rack in topology.racks
-    ]
-    sysprof.install(zones=specs, gpa_node="mgmt")
-    install_synthetic_load(
-        sysprof, request_classes=request_classes,
-        samples_per_window=samples_per_window,
-    )
-    sysprof.start()
-    engine = DiagnosisEngine(
-        sysprof, rules=list(rules), ledger=ledger,
-        lookback=lookback, eval_interval=eval_interval,
-    )
+
+    def install(sysprof):
+        if federated:
+            specs = [
+                ZoneSpec(name=rack.name, gpa_node=rack.gpa_node,
+                         members=list(rack.nodes))
+                for rack in topology.racks
+            ]
+            if standbys and len(specs) > 1:
+                for index, spec in enumerate(specs):
+                    spec.standby = specs[(index + 1) % len(specs)].name
+            sysprof.install(zones=specs, gpa_node="mgmt")
+        else:
+            sysprof.install(monitored=topology.node_names, gpa_node="mgmt")
+        install_synthetic_load(
+            sysprof, request_classes=request_classes,
+            samples_per_window=samples_per_window,
+        )
+
+    sysprof, engine = _monitor(cluster, monitoring, install, rules, diagnosis, ledger)
     injector = FaultInjector(cluster, sysprof=sysprof)
+    shape = "zone GPAs under a root" if federated else "flat to the root"
     return Scenario(
         "federation", cluster, sysprof, engine, injector, ledger, owns,
-        description="{} zones x {} members, zone GPAs under a root".format(
-            zones, nodes_per_zone
-        ),
+        description="{} zones x {} members, {}".format(zones, nodes_per_zone, shape),
         traffic="synthetic sketch/class LPAs on every member",
     )
 
@@ -296,32 +372,27 @@ def build_federation(seed=19, zones=2, nodes_per_zone=3,
 # ---------------------------------------------------------------------------
 
 
-def build_synthetic(seed=17, nodes=4, eviction_interval=0.1,
+def build_synthetic(seed=17, nodes=4, monitoring=SYNTHETIC_MONITORING,
                     request_classes=("rpc",), samples_per_window=32,
-                    rules=("p95(rpc) < 50ms",), lookback=1.0,
-                    eval_interval=0.1):
+                    rules=("p95(rpc) < 50ms",), diagnosis=DIAGNOSIS):
     """Flat install with synthetic LPAs: pure monitoring-plane traffic."""
     from repro.workloads.synthetic import install_synthetic_load
 
-    ledger, owns = _install_ledger()
+    ledger, owns = _ledger(rules)
     cluster = Cluster(seed=seed)
     names = ["n{}".format(i) for i in range(nodes)]
     for name in names:
         cluster.add_node(name)
     cluster.add_node("mgmt")
-    sysprof = SysProf(cluster, SysProfConfig(
-        eviction_interval=eviction_interval, latency_sketches=False,
-    ))
-    sysprof.install(monitored=names, gpa_node="mgmt")
-    install_synthetic_load(
-        sysprof, request_classes=request_classes,
-        samples_per_window=samples_per_window,
-    )
-    sysprof.start()
-    engine = DiagnosisEngine(
-        sysprof, rules=list(rules), ledger=ledger,
-        lookback=lookback, eval_interval=eval_interval,
-    )
+
+    def install(sysprof):
+        sysprof.install(monitored=names, gpa_node="mgmt")
+        install_synthetic_load(
+            sysprof, request_classes=request_classes,
+            samples_per_window=samples_per_window,
+        )
+
+    sysprof, engine = _monitor(cluster, monitoring, install, rules, diagnosis, ledger)
     injector = FaultInjector(cluster, sysprof=sysprof)
     return Scenario(
         "synthetic", cluster, sysprof, engine, injector, ledger, owns,
@@ -330,7 +401,8 @@ def build_synthetic(seed=17, nodes=4, eviction_interval=0.1,
     )
 
 
-#: Registry the CLI and supervisor resolve scenario names through.
+#: Registry every batch experiment, ``repro profile``, the supervisor and
+#: the scenario benchmark resolve scenario names through.
 SCENARIOS = {
     "nfs": build_nfs,
     "rubis": build_rubis,

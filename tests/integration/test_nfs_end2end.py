@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import find_bottleneck
 from repro.experiments import NfsExperimentConfig, run_nfs_experiment
+from repro.experiments.nfs_storage import nfs_scenario
 
 CONFIG = NfsExperimentConfig(
     thread_counts=(1, 4), ops_per_thread=10, rewrite=False, sim_limit=200.0
@@ -63,34 +64,13 @@ def test_causal_paths_correlated(sweep):
 
 
 def test_bottleneck_analysis_names_backend():
-    result_config = NfsExperimentConfig(
+    config = NfsExperimentConfig(
         thread_counts=(2,), ops_per_thread=8, rewrite=False, sim_limit=200.0
     )
-    # Re-run once, keeping the sysprof handle via the module internals.
-    from repro.apps.nfs.service import VirtualStorageService
-    from repro.cluster import synchronize
-    from repro.core import SysProf, SysProfConfig
-    from repro.experiments.nfs_storage import build_cluster
-    from repro.workloads.iozone import IozoneConfig, IozoneResults, spawn_iozone
-
-    cluster = build_cluster(result_config)
-    table = synchronize(cluster, "mgmt")
-    VirtualStorageService(
-        cluster, "proxy", ["backend1", "backend2"],
-        proxy_parse_cost=result_config.proxy_parse_cost,
-        proxy_reply_cost=result_config.proxy_reply_cost,
-    ).start()
-    sysprof = SysProf(cluster, SysProfConfig(eviction_interval=0.2), clock_table=table)
-    sysprof.install(
-        monitored=["proxy", "backend1", "backend2"], gpa_node="mgmt"
+    with nfs_scenario(2, config) as scenario:
+        scenario.cluster.run(until=200.0)
+    scenario.sysprof.flush()
+    report = find_bottleneck(
+        scenario.sysprof.gpa, ["proxy", "backend1", "backend2"]
     )
-    sysprof.start()
-    results = IozoneResults()
-    config = IozoneConfig(threads=2, ops_per_thread=8, rewrite=False,
-                          pipeline=2, stable=False, commit_every=8)
-    for name in ("client1", "client2"):
-        spawn_iozone(cluster.node(name), "proxy", config, results)
-    cluster.run(until=200.0)
-    sysprof.flush()
-    report = find_bottleneck(sysprof.gpa, ["proxy", "backend1", "backend2"])
     assert report.bottleneck in ("backend1", "backend2")

@@ -1,7 +1,15 @@
 """Scenario builders: every supervised workload boots and makes traffic."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+
+from repro.core import SysProfConfig
 from repro.experiments.common import trace_digest
 from repro.observability import ledger as cpu_ledger
 from repro.service import SCENARIOS, build_scenario
@@ -77,7 +85,8 @@ def test_scenario_traffic_is_continuous_not_front_loaded():
 
 def test_scenario_overrides_reach_the_builder():
     scenario = build_scenario(
-        "synthetic", nodes=2, rules=("p95(rpc) < 1s",), eviction_interval=0.3
+        "synthetic", nodes=2, rules=("p95(rpc) < 1s",),
+        monitoring=SysProfConfig(eviction_interval=0.3),
     )
     try:
         assert len(scenario.sysprof.monitors) == 2
@@ -86,6 +95,13 @@ def test_scenario_overrides_reach_the_builder():
         assert monitor.daemon.eviction_interval == 0.3
     finally:
         scenario.close()
+
+
+def test_scenario_without_rules_has_no_engine_and_no_ledger():
+    with build_scenario("synthetic", nodes=2, rules=()) as scenario:
+        assert scenario.engine is None
+        assert scenario.ledger is None
+        assert cpu_ledger.active() is None
 
 
 def test_scenario_reuses_an_already_installed_ledger():
@@ -108,3 +124,19 @@ def test_federation_scenario_exposes_parent_links():
             assert hasattr(link, "listeners")
     finally:
         scenario.close()
+
+
+def test_service_import_leaves_experiments_unloaded():
+    """The registry sits below the batch experiments that build from it:
+    importing the service must not load them (an import cycle, and
+    import time every scenario pays)."""
+    code = (
+        "import sys, repro.service; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

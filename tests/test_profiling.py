@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.observability.tracer import validate_chrome_trace
+from repro.service import SCENARIOS as REGISTRY
 from repro.profiling import (
     SCENARIOS,
     _package_of,
@@ -97,4 +98,10 @@ def test_cli_profile_parser():
     assert args.trace is None and args.json is None
     with pytest.raises(SystemExit):
         build_parser().parse_args(["profile", "bogus"])
-    assert set(SCENARIOS) == {"microbench", "sketch", "nfs", "rubis"}
+    assert set(SCENARIOS) == {"microbench", "sketch"} | set(REGISTRY)
+
+
+def test_registered_scenario_profiles():
+    report = run_profile("synthetic", smoke=True, top=5)
+    assert report.description.startswith("Flat install")
+    assert report.events > 0
