@@ -55,10 +55,9 @@ class NfsExperimentConfig:
     syscall_stats: bool = False  # per-syscall aggregation LPA (more probes)
 
 
-def nfs_scenario(threads_per_client, config=None):
+def nfs_scenario(threads_per_client, config):
     """The registered ``nfs`` scenario set up as one Figure-4/5 point:
     finite iozone traffic, skewed NTP-synced clocks, no SLO rules."""
-    config = config or NfsExperimentConfig()
     return build_scenario(
         "nfs", seed=config.seed, clients=config.clients,
         backends=config.backends,
