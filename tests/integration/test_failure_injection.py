@@ -6,7 +6,7 @@ daemon reconnects afterwards with backoff-paced (not per-publish) dials,
 and two same-seed/same-schedule runs are bit-identical.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -32,10 +32,7 @@ def partition_result():
 
 
 def _assert_golden(result, golden):
-    observed = {
-        "trace_hash": result.trace_hash,
-        "detection_latency": result.detection_latency,
-    }
+    observed = asdict(result)
     assert observed == golden["failures"][result.scenario], (
         "{} run changed; observed {}".format(result.scenario, observed)
     )
