@@ -39,7 +39,6 @@ class DiagnoseConfig:
 
     clients: int = 1
     backends: int = 2
-    gpa_node: str = "mgmt"
     threads_per_client: int = 2
     ops_per_thread: int = 900     # enough writes to outlast the incident
     # -- fault -----------------------------------------------------------
@@ -105,7 +104,7 @@ def run_diagnose_experiment(config=None):
     config = config or DiagnoseConfig()
     with build_scenario(
         "nfs", seed=config.seed, clients=config.clients,
-        backends=config.backends, gpa_node=config.gpa_node,
+        backends=config.backends,
         iozone=IozoneConfig(
             threads=config.threads_per_client,
             ops_per_thread=config.ops_per_thread,

@@ -34,7 +34,6 @@ SCENARIOS = ("daemon-crash", "partition")
 class FailureExperimentConfig:
     scenario: str = "daemon-crash"
     target: str = "backend1"      # monitored node the fault hits
-    gpa_node: str = "mgmt"
     clients: int = 1
     backends: int = 1
     threads_per_client: int = 2
@@ -81,7 +80,7 @@ def build_schedule(config):
     else:
         schedule.partition_window(
             config.fault_start, config.fault_duration,
-            [[config.target], [config.gpa_node]],
+            [[config.target], ["mgmt"]],
             jitter=config.fault_jitter,
         )
     return schedule
@@ -92,7 +91,7 @@ def run_failure_experiment(config=None):
     config = config or FailureExperimentConfig()
     scenario = build_scenario(
         "nfs", seed=config.seed, clients=config.clients,
-        backends=config.backends, gpa_node=config.gpa_node,
+        backends=config.backends,
         iozone=IozoneConfig(
             threads=config.threads_per_client,
             ops_per_thread=config.ops_per_thread,

@@ -70,10 +70,8 @@ def nfs_scenario(threads_per_client, config):
         ),
         clock_skew=config.clock_skew,
         disk_transfer_bps=config.disk_transfer_bps,
-        proxy_costs={
-            "proxy_parse_cost": config.proxy_parse_cost,
-            "proxy_reply_cost": config.proxy_reply_cost,
-        },
+        proxy_parse_cost=config.proxy_parse_cost,
+        proxy_reply_cost=config.proxy_reply_cost,
         monitoring=SysProfConfig(
             eviction_interval=config.eviction_interval,
             syscall_stats=config.syscall_stats,

@@ -18,8 +18,8 @@ the ``sketch`` ingest loop, or any scenario registered in
   in ``ui.perfetto.dev`` and passes
   :func:`repro.observability.tracer.validate_chrome_trace`.
 
-Each scenario also defines an *events* count (engine dispatches, sketch
-updates) so the report carries an events/s headline
+Each scenario also defines an *events* count (engine events scheduled,
+sketch updates) so the report carries an events/s headline
 comparable to the ``benchmarks/`` numbers.  Scenarios are deterministic;
 only the timings vary between runs.
 """
@@ -98,7 +98,8 @@ def _scenario_sketch(smoke):
 def _registered(name):
     """A registered service scenario (:data:`repro.service.SCENARIOS`),
     built with its defaults and run to 0.5 s (smoke) or 3.0 s; its events
-    are the engine's dispatches."""
+    are the events the engine scheduled (the scenario benchmark's
+    ``sim.events``)."""
     def run(smoke):
         with build_scenario(name) as scenario:
             scenario.cluster.run(until=0.5 if smoke else 3.0)

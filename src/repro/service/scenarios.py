@@ -50,7 +50,8 @@ RUBIS_MONITORING = SysProfConfig(eviction_interval=0.1, latency_sketches=True)
 FEDERATION_MONITORING = SysProfConfig(eviction_interval=0.2, forward_interval=0.5)
 SYNTHETIC_MONITORING = SysProfConfig(eviction_interval=0.1)
 
-#: DiagnosisEngine options of a scenario given rules.
+#: DiagnosisEngine options of a scenario given rules (only the ``nfs``
+#: builder, which the diagnosis experiment drives, takes others).
 DIAGNOSIS = {"lookback": 1.0, "eval_interval": 0.1}
 
 
@@ -128,17 +129,11 @@ def _ledger(rules):
     return cpu_ledger.install(), True
 
 
-def _monitor(cluster, monitoring, install, rules, diagnosis, ledger,
-             clock_table=None):
-    """SysProf installed by ``install(sysprof)`` and started, then the
-    engine when there are rules."""
-    sysprof = SysProf(cluster, replace(monitoring), clock_table=clock_table)
-    install(sysprof)
-    sysprof.start()
-    engine = None
-    if rules:
-        engine = DiagnosisEngine(sysprof, rules=list(rules), ledger=ledger, **diagnosis)
-    return sysprof, engine
+def _engine(sysprof, rules, diagnosis, ledger):
+    """The scenario's DiagnosisEngine: only when it has rules."""
+    if not rules:
+        return None
+    return DiagnosisEngine(sysprof, rules=list(rules), ledger=ledger, **diagnosis)
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +159,18 @@ def _nfs_writer(ctx, server, path, record_bytes=16384, burst=8, think=0.01):
         yield from ctx.sleep(think)
 
 
-def build_nfs(seed=11, clients=1, backends=2, gpa_node="mgmt", iozone=None,
-              clock_skew=False, disk_transfer_bps=None, proxy_costs=None,
-              monitoring=NFS_MONITORING, rules=("p95(nfs-write) < 8ms",),
-              diagnosis=DIAGNOSIS, schedule=None):
+def build_nfs(seed=11, clients=1, backends=2, iozone=None, clock_skew=False,
+              disk_transfer_bps=None, proxy_parse_cost=40e-6,
+              proxy_reply_cost=25e-6, monitoring=NFS_MONITORING,
+              rules=("p95(nfs-write) < 8ms",), diagnosis=DIAGNOSIS,
+              schedule=None):
     """The virtual storage service: NFS clients, a proxy, disk backends.
 
     Traffic is two looping writers per client, or — given ``iozone`` (an
     :class:`~repro.workloads.iozone.IozoneConfig`) — finite iozone
     threads whose results land in ``app["results"]``.  ``clock_skew``
-    offsets the proxy and backend clocks and NTP-syncs them to
-    ``gpa_node`` for the GPA to correct.  ``proxy_costs`` holds
-    :class:`VirtualStorageService` cost overrides; ``schedule`` is a
+    offsets the proxy and backend clocks and NTP-syncs them to ``mgmt``
+    for the GPA to correct.  ``schedule`` is a
     :class:`~repro.faults.FaultSchedule` armed before traffic starts.
     """
     from repro.apps.nfs.service import VirtualStorageService
@@ -197,17 +192,17 @@ def build_nfs(seed=11, clients=1, backends=2, gpa_node="mgmt", iozone=None,
         cluster.add_node(
             name, with_disk=True, clock=NodeClock(offset=skews[1 + index % 2])
         )
-    cluster.add_node(gpa_node)
-    clock_table = synchronize(cluster, gpa_node) if clock_skew else None
+    cluster.add_node("mgmt")
+    clock_table = synchronize(cluster, "mgmt") if clock_skew else None
     service = VirtualStorageService(
-        cluster, "proxy", backend_names, **(proxy_costs or {})
+        cluster, "proxy", backend_names, proxy_parse_cost=proxy_parse_cost,
+        proxy_reply_cost=proxy_reply_cost,
     ).start()
 
-    sysprof, engine = _monitor(
-        cluster, monitoring,
-        lambda sp: sp.install(monitored=["proxy"] + backend_names, gpa_node=gpa_node),
-        rules, diagnosis, ledger, clock_table,
-    )
+    sysprof = SysProf(cluster, replace(monitoring), clock_table=clock_table)
+    sysprof.install(monitored=["proxy"] + backend_names, gpa_node="mgmt")
+    sysprof.start()
+    engine = _engine(sysprof, rules, diagnosis, ledger)
     injector = FaultInjector(cluster, sysprof=sysprof)
     if schedule is not None:
         injector.arm(schedule)
@@ -244,7 +239,7 @@ def build_nfs(seed=11, clients=1, backends=2, gpa_node="mgmt", iozone=None,
 
 def build_rubis(seed=29, httperf=None, scheduler="dwcs", drop_factor=None,
                 slots_per_servlet=12, monitoring=RUBIS_MONITORING,
-                rules=("p95(bidding) < 100ms",), diagnosis=DIAGNOSIS):
+                rules=("p95(bidding) < 100ms",)):
     """The RUBiS site under DWCS-dispatched httperf sessions.
 
     ``httperf`` (an :class:`~repro.workloads.httperf.HttperfConfig`)
@@ -283,11 +278,10 @@ def build_rubis(seed=29, httperf=None, scheduler="dwcs", drop_factor=None,
 
     sysprof = engine = None
     if monitoring is not None:
-        sysprof, engine = _monitor(
-            cluster, monitoring,
-            lambda sp: sp.install(monitored=list(servlets), gpa_node="mgmt"),
-            rules, diagnosis, ledger,
-        )
+        sysprof = SysProf(cluster, replace(monitoring))
+        sysprof.install(monitored=list(servlets), gpa_node="mgmt")
+        sysprof.start()
+        engine = _engine(sysprof, rules, DIAGNOSIS, ledger)
     injector = FaultInjector(cluster, sysprof=sysprof)
 
     dwcs = DwcsScheduler(drop_factor=drop_factor)
@@ -324,7 +318,7 @@ def build_rubis(seed=29, httperf=None, scheduler="dwcs", drop_factor=None,
 def build_federation(seed=19, zones=2, nodes_per_zone=3, federated=True,
                      standbys=False, monitoring=FEDERATION_MONITORING,
                      request_classes=("rpc",), samples_per_window=16,
-                     rules=("staleness(r0n0) < 2s",), diagnosis=DIAGNOSIS):
+                     rules=("staleness(r0n0) < 2s",)):
     """Spine/leaf racks of members shipping synthetic telemetry.
 
     Federated, each rack's zone GPA condenses its members to the root on
@@ -338,26 +332,25 @@ def build_federation(seed=19, zones=2, nodes_per_zone=3, federated=True,
     topology = build_spine_leaf(
         cluster, racks=zones, nodes_per_rack=nodes_per_zone, mgmt_node="mgmt"
     )
-
-    def install(sysprof):
-        if federated:
-            specs = [
-                ZoneSpec(name=rack.name, gpa_node=rack.gpa_node,
-                         members=list(rack.nodes))
-                for rack in topology.racks
-            ]
-            if standbys and len(specs) > 1:
-                for index, spec in enumerate(specs):
-                    spec.standby = specs[(index + 1) % len(specs)].name
-            sysprof.install(zones=specs, gpa_node="mgmt")
-        else:
-            sysprof.install(monitored=topology.node_names, gpa_node="mgmt")
-        install_synthetic_load(
-            sysprof, request_classes=request_classes,
-            samples_per_window=samples_per_window,
-        )
-
-    sysprof, engine = _monitor(cluster, monitoring, install, rules, diagnosis, ledger)
+    sysprof = SysProf(cluster, replace(monitoring))
+    if federated:
+        specs = [
+            ZoneSpec(name=rack.name, gpa_node=rack.gpa_node,
+                     members=list(rack.nodes))
+            for rack in topology.racks
+        ]
+        if standbys and len(specs) > 1:
+            for index, spec in enumerate(specs):
+                spec.standby = specs[(index + 1) % len(specs)].name
+        sysprof.install(zones=specs, gpa_node="mgmt")
+    else:
+        sysprof.install(monitored=topology.node_names, gpa_node="mgmt")
+    install_synthetic_load(
+        sysprof, request_classes=request_classes,
+        samples_per_window=samples_per_window,
+    )
+    sysprof.start()
+    engine = _engine(sysprof, rules, DIAGNOSIS, ledger)
     injector = FaultInjector(cluster, sysprof=sysprof)
     shape = "zone GPAs under a root" if federated else "flat to the root"
     return Scenario(
@@ -373,8 +366,7 @@ def build_federation(seed=19, zones=2, nodes_per_zone=3, federated=True,
 
 
 def build_synthetic(seed=17, nodes=4, monitoring=SYNTHETIC_MONITORING,
-                    request_classes=("rpc",), samples_per_window=32,
-                    rules=("p95(rpc) < 50ms",), diagnosis=DIAGNOSIS):
+                    rules=("p95(rpc) < 50ms",)):
     """Flat install with synthetic LPAs: pure monitoring-plane traffic."""
     from repro.workloads.synthetic import install_synthetic_load
 
@@ -384,15 +376,11 @@ def build_synthetic(seed=17, nodes=4, monitoring=SYNTHETIC_MONITORING,
     for name in names:
         cluster.add_node(name)
     cluster.add_node("mgmt")
-
-    def install(sysprof):
-        sysprof.install(monitored=names, gpa_node="mgmt")
-        install_synthetic_load(
-            sysprof, request_classes=request_classes,
-            samples_per_window=samples_per_window,
-        )
-
-    sysprof, engine = _monitor(cluster, monitoring, install, rules, diagnosis, ledger)
+    sysprof = SysProf(cluster, replace(monitoring))
+    sysprof.install(monitored=names, gpa_node="mgmt")
+    install_synthetic_load(sysprof)
+    sysprof.start()
+    engine = _engine(sysprof, rules, DIAGNOSIS, ledger)
     injector = FaultInjector(cluster, sysprof=sysprof)
     return Scenario(
         "synthetic", cluster, sysprof, engine, injector, ledger, owns,
