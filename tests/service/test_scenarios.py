@@ -49,6 +49,12 @@ def test_scenario_boots_and_generates_telemetry(name, golden):
         assert observed == golden["scenario_digests"][name], (
             "{} scenario digest changed; observed {}".format(name, observed)
         )
+        # The digest cannot see a dropped or added same-time hop; the
+        # engine's event count can.
+        events = scenario.cluster.sim.stats()["events_scheduled"]
+        assert events == golden["scenario_events"][name], (
+            "{} scenario event count changed; observed {}".format(name, events)
+        )
         scenario.cluster.run(until=1.5)
         # Continuous traffic: the plane is receiving records/frames.
         gpas = [scenario.sysprof.gpa]
