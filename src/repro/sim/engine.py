@@ -218,6 +218,9 @@ class CalendarQueue:
         return cap
 
     def push(self, when, priority, seq, fn, args):
+        """Insert ``fn(*args)`` at key ``(when, priority, seq)``; returns
+        its slot (a :class:`SlotHandle` needs it and the slot's current
+        generation)."""
         free = self._free
         slot = free.pop() if free else self._grow()
         self._fns[slot] = fn
@@ -249,7 +252,7 @@ class CalendarQueue:
             heappush(self._overflow, key)
             self.spills += 1
         self.size += 1
-        return SlotHandle(self, slot, self._gens[slot])
+        return slot
 
     def pop_live(self):
         """Pop the head entry and free its slot.
@@ -528,7 +531,7 @@ class Timeout(Waitable):
             raise SimError("negative timeout delay: {}".format(delay))
         super().__init__(sim)
         self.delay = delay
-        sim.schedule(delay, self.succeed, value)
+        sim._at(delay, self.succeed, value)
 
 
 class AnyOf(Waitable):
@@ -628,7 +631,9 @@ class Simulator:
                 self._pool_misses += 1
             self._lanes[priority].append(entry)
             return Handle(self, entry)
-        return self._store.push(self.now + delay, priority, seq, fn, args)
+        store = self._store
+        slot = store.push(self.now + delay, priority, seq, fn, args)
+        return SlotHandle(store, slot, store._gens[slot])
 
     def schedule_at(self, when, fn, *args, priority=PRIORITY_NORMAL):
         """Run ``fn(*args)`` at absolute simulated time ``when``.
@@ -658,6 +663,20 @@ class Simulator:
         seq = self._seqn + 1
         self._seqn = seq
         self._dq.append((seq, fn, arg))
+
+    def _at(self, delay, fn, arg):
+        """Handle-less single-argument :meth:`schedule` (hot path).
+
+        The store-side twin of :meth:`_soon1`: ``fn(arg)`` runs ``delay``
+        (>= 0) seconds from now at ``PRIORITY_NORMAL``, ordered by its
+        ``seq`` like any store entry, but no :class:`SlotHandle` is built,
+        so it cannot be cancelled.  Devices that never cancel (the CPU
+        slice timer, the link serializer, :class:`Timeout`) schedule
+        through it.
+        """
+        seq = self._seqn + 1
+        self._seqn = seq
+        self._store.push(self.now + delay, PRIORITY_NORMAL, seq, fn, (arg,))
 
     # ------------------------------------------------------------------
     # waitable factories

@@ -8,7 +8,7 @@ and a failure is raised at the yield point.
 Processes are themselves waitables: they trigger with the generator's
 return value, or fail with its uncaught exception.  A process blocked on a
 waitable can be interrupted, which raises :class:`~repro.sim.errors.Interrupt`
-inside it — the building block for preemptive CPU scheduling.
+inside it — how a task is killed.
 """
 
 import types
@@ -20,7 +20,7 @@ from repro.sim.errors import Interrupt, SimError
 class Process(Waitable):
     """A running simulation process.  Create via :meth:`Simulator.process`."""
 
-    __slots__ = ("name", "_gen", "_target", "_started")
+    __slots__ = ("name", "_gen", "_target", "_started", "_resume")
 
     def __init__(self, sim, generator, name=None):
         if not isinstance(generator, types.GeneratorType):
@@ -32,6 +32,8 @@ class Process(Waitable):
         self._gen = generator
         self._target = None
         self._started = False
+        # One bound method for every wait, instead of a new one per yield.
+        self._resume = self._on_target
         sim._soon1(self._start, None)
 
     def __repr__(self):
@@ -71,16 +73,16 @@ class Process(Waitable):
             )
             return
         self._target = target
-        target.add_callback(self._on_target)
+        target.add_callback(self._resume)
 
     def _on_target(self, waitable):
-        if waitable is not self._target or self.triggered:
+        if waitable is not self._target or self._done:
             return  # stale wakeup after an interrupt
         self._target = None
-        if waitable.ok:
-            self._advance(send_value=waitable.value)
+        if waitable._ok:
+            self._advance(waitable._value)
         else:
-            self._advance(throw_exc=waitable.value)
+            self._advance(None, waitable._value)
 
     # ------------------------------------------------------------------
 
@@ -105,5 +107,5 @@ class Process(Waitable):
             return
         target, self._target = self._target, None
         if target is not None:
-            target.discard_callback(self._on_target)
+            target.discard_callback(self._resume)
         self._advance(throw_exc=Interrupt(cause))
