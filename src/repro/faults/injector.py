@@ -15,6 +15,8 @@ delivering EOF to readers and :class:`~repro.sim.errors.ConnectionReset`
 to writers.
 """
 
+import math
+
 from repro.faults import schedule as sched
 from repro.ossim.task import BAND_KERNEL, BAND_USER
 from repro.sim.errors import SimError
@@ -94,27 +96,68 @@ class FaultInjector:
         t=10 fires at t=10.5.  Determinism note: an inject is a control
         input; two runs issuing the same injects at the same simulated
         times replay identically, and a run with no injects is untouched.
+
+        Every event is checked before any is registered: a target this
+        cluster lacks or a time in the past raises :class:`SimError` and
+        registers nothing, so a bad request can never fail at fire time
+        and take the run down.
         """
         schedule.validate()
         sim = self.cluster.sim
         if base is None:
             base = sim.now
-        registered = []
-        for event in schedule.events():
+        events = schedule.events()
+        for event in events:
+            self._check_targets(event)
+        timed = []
+        for event in events:
             at = base + event.at
             if event.jitter:
                 at += event.jitter * self._jitter_rng().random()
-            if at < sim.now:
+            if not sim.now <= at < math.inf:
                 raise SimError(
-                    "fault {} at {} is in the past (now {})".format(
+                    "fault {} at {} is in the past or not finite (now {})".format(
                         event.kind, at, sim.now
                     )
                 )
+            timed.append((at, event))
+        registered = []
+        for at, event in timed:
             sim.schedule(at - sim.now, self._fire, event)
             registered.append({"kind": event.kind, "target": event.target,
                                "at": at})
         self.injected += len(registered)
         return registered
+
+    def _check_targets(self, event):
+        """Raise :class:`SimError` unless every name ``event`` hits exists."""
+        kind = event.kind
+        if kind in sched.NODE_TARGET_KINDS:
+            self._check_node(kind, event.target)
+        if kind in (sched.KIND_DAEMON_KILL, sched.KIND_DAEMON_RESTART):
+            monitors = self.sysprof.monitors if self.sysprof is not None else {}
+            if event.target not in monitors:
+                raise SimError(
+                    "{}: node {!r} is not monitored".format(kind, event.target)
+                )
+        if kind == sched.KIND_PARTITION:
+            for group in event.params["groups"]:
+                if not isinstance(group, (list, tuple)):
+                    raise SimError(
+                        "partition groups must be lists of node names"
+                    )
+                for name in group:
+                    self._check_node(kind, name)
+        if kind in sched.ZONE_TARGET_KINDS:
+            if not isinstance(event.target, str):
+                raise SimError(
+                    "unknown federation zone: {!r}".format(event.target)
+                )
+            self._zone(event.target)
+
+    def _check_node(self, kind, name):
+        if not (isinstance(name, str) and name in self.cluster.nodes):
+            raise SimError("{}: unknown node {!r}".format(kind, name))
 
     def _jitter_rng(self):
         if self._rng is None:

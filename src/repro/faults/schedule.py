@@ -38,6 +38,9 @@ KINDS = frozenset(
     }
 )
 
+#: Valid ``band`` values for cpu_hog.
+CPU_HOG_BANDS = ("kernel", "user")
+
 #: Valid ``scope`` values for parent_partition.  ``uplink`` cuts the
 #: whole zone subtree (members + zone GPA) off from the rest of the
 #: cluster — the zone's *upward* forwards fail while members still reach
@@ -45,8 +48,8 @@ KINDS = frozenset(
 #: lose their parent tier and must reparent.
 PARENT_PARTITION_SCOPES = ("uplink", "gpa")
 
-# Kinds whose target names a node; the rest target the whole fabric/GPA.
-_NODE_TARGET_KINDS = frozenset(
+#: Kinds whose target names a node; the rest target the whole fabric/GPA.
+NODE_TARGET_KINDS = frozenset(
     {
         KIND_DAEMON_KILL,
         KIND_DAEMON_RESTART,
@@ -57,8 +60,8 @@ _NODE_TARGET_KINDS = frozenset(
     }
 )
 
-# Kinds whose target names a federation zone.
-_ZONE_TARGET_KINDS = frozenset(
+#: Kinds whose target names a federation zone.
+ZONE_TARGET_KINDS = frozenset(
     {KIND_ZONE_GPA_KILL, KIND_ZONE_GPA_RESTART, KIND_PARENT_PARTITION}
 )
 
@@ -94,9 +97,9 @@ class FaultEvent:
             )
         if self.jitter < 0.0:
             raise ScheduleError("jitter must be >= 0")
-        if self.kind in _NODE_TARGET_KINDS and not self.target:
+        if self.kind in NODE_TARGET_KINDS and not self.target:
             raise ScheduleError("{} requires a target node".format(self.kind))
-        if self.kind in _ZONE_TARGET_KINDS and not self.target:
+        if self.kind in ZONE_TARGET_KINDS and not self.target:
             raise ScheduleError("{} requires a target zone".format(self.kind))
         if self.kind == KIND_PARTITION:
             groups = self.params.get("groups")
@@ -118,6 +121,13 @@ class FaultEvent:
                 raise ScheduleError(
                     "cpu_hog utilization must be in (0, 1], got {}".format(
                         utilization
+                    )
+                )
+            band = self.params.get("band", "kernel")
+            if band not in CPU_HOG_BANDS:
+                raise ScheduleError(
+                    "cpu_hog band must be one of {}, got {!r}".format(
+                        CPU_HOG_BANDS, band
                     )
                 )
 

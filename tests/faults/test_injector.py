@@ -190,3 +190,23 @@ def test_inject_rejects_events_in_the_past():
     cluster.run(until=1.0)
     with pytest.raises(SimError, match="past"):
         injector.inject(FaultSchedule().cpu_hog(0.5, "a", 0.2), base=0.0)
+
+
+def test_inject_checks_every_event_before_registering_any():
+    cluster = Cluster(seed=7)
+    cluster.add_node("a")
+    cluster.add_node("b")
+    injector = FaultInjector(cluster)
+    cluster.run(until=1.0)
+    bad = [
+        FaultSchedule().cpu_hog(0.25, "a", 0.2).link_down(0.5, "nosuch"),
+        FaultSchedule().partition(0.5, [["a"], ["ghost"]]),
+        FaultSchedule().kill_daemon(0.5, "a"),  # no SysProf installed
+        FaultSchedule().kill_zone_gpa(0.5, "zone0"),  # no federation
+    ]
+    for schedule in bad:
+        with pytest.raises(SimError):
+            injector.inject(schedule)
+    cluster.run(until=3.0)
+    assert injector.injected == 0
+    assert injector.fired == 0

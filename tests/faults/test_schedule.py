@@ -53,6 +53,8 @@ def test_validation_rejects_bad_entries():
         FaultSchedule().partition(1.0, [["a"], []])  # empty group
     with pytest.raises(ScheduleError):
         FaultSchedule().kill_gpa(1.0, jitter=-0.1)
+    with pytest.raises(ScheduleError, match="band"):
+        FaultSchedule().cpu_hog(1.0, "a", 0.5, band="irq")
 
 
 def test_dict_round_trip():

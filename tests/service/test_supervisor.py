@@ -181,6 +181,36 @@ def test_inject_fault_registers_relative_to_now(sup, client):
     assert sup.injector.summary() == {"cpu_hog": 1}
 
 
+#: Live fault requests naming nothing in the nfs scenario, a time in
+#: the past, or an unknown hog band.
+BAD_FAULT_REQUESTS = [
+    {"events": [{"at": 0.5, "kind": "link_down", "target": "nosuch"}]},
+    {"events": [{"at": 0.5, "kind": "link_down", "target": ["backend1"]}]},
+    {"events": [{"at": 0.5, "kind": "daemon_kill", "target": 5}]},
+    {"events": [{"at": 0.5, "kind": "partition",
+                 "params": {"groups": [["a"], ["backend1"]]}}]},
+    {"base": 0.0, "events": [{"at": 0.1, "kind": "cpu_hog", "target": "backend1",
+                              "params": {"duration": 0.5}}]},
+    {"events": [{"at": 0.5, "kind": "cpu_hog", "target": "backend1",
+                 "params": {"duration": 0.5, "band": "irq"}}]},
+]
+
+
+def test_bad_fault_requests_are_refused_and_the_run_survives():
+    supervisor = Supervisor("nfs")
+    try:
+        supervisor.pump(0.2)
+        accepted = [
+            params for params in BAD_FAULT_REQUESTS
+            if supervisor.handle({"op": "inject_fault", "params": params})["ok"]
+        ]
+        assert accepted == []
+        assert supervisor.pump(2.0) == pytest.approx(2.2)
+        assert supervisor.injector.injected == 0
+    finally:
+        supervisor.shutdown()
+
+
 def test_set_forward_interval_requires_federation(sup, client):
     with pytest.raises(ServiceCallError, match="federated"):
         client.call("set_forward_interval", interval=0.5)
