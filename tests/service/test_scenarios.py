@@ -1,5 +1,6 @@
 """Scenario builders: every supervised workload boots and makes traffic."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -54,6 +55,18 @@ def test_scenario_boots_and_generates_telemetry(name, golden):
         events = scenario.cluster.sim.stats()["events_scheduled"]
         assert events == golden["scenario_events"][name], (
             "{} scenario event count changed; observed {}".format(name, events)
+        )
+        # Neither sees a ledger float move; the CPU ledger's rows do.
+        rows = sorted(
+            (node, category, seconds.hex())
+            for node, categories in scenario.ledger.breakdown(
+                include_idle=False
+            ).items()
+            for category, seconds in categories.items()
+        )
+        ledgers = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert ledgers == golden["scenario_ledgers"][name], (
+            "{} scenario ledger changed; observed {}".format(name, ledgers)
         )
         scenario.cluster.run(until=1.5)
         # Continuous traffic: the plane is receiving records/frames.
