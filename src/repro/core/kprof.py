@@ -7,10 +7,12 @@ tests).  When no analyzer subscribes to an event type it costs nothing —
 "when none of the analyzer(s) subscribes to events, all of them are
 turned off, resulting in almost negligible perturbation".
 
-Perturbation model: the kernel charges ``Kprof.cost(etype)`` to the
-simulated CPU *before* firing, covering the probe itself plus every
-subscribed callback's declared cost.  Callbacks run synchronously in the
-fast path and must not block (they are plain functions, not processes).
+Perturbation model: the kernel charges the cost that
+``Kprof.site(etypes)`` answers to the simulated CPU *before* firing,
+covering the probe itself plus every subscribed callback's declared
+cost.  The answer is cached per tuple of event types until the next
+subscription change.  Callbacks run synchronously in the fast path and
+must not block (they are plain functions, not processes).
 """
 
 from collections import Counter
@@ -55,7 +57,7 @@ class Kprof(Tracepoints):
         self._snap = {}
         self._enabled = frozenset()
         self._cost_cache = {}
-        self._split_cache = {}
+        self._sites = {}  # etypes tuple -> site() answer
         self._masked = set()  # event types force-disabled by the controller
         self.events_fired = Counter()
         self.events_delivered = 0
@@ -133,7 +135,7 @@ class Kprof(Tracepoints):
         }
         self._enabled = frozenset(self._snap)
         self._cost_cache.clear()
-        self._split_cache.clear()
+        self._sites.clear()
 
     @staticmethod
     def _expand(etypes):
@@ -168,19 +170,30 @@ class Kprof(Tracepoints):
         self._cost_cache[etype] = total
         return total
 
-    def cost_split(self, etype):
-        cached = self._split_cache.get(etype)
-        if cached is not None:
-            return cached
-        if etype not in self._enabled:
-            split = (self.costs.probe_disabled, 0.0)
-        else:
-            analyzer = 0.0
-            for sub in self._snap[etype]:
-                analyzer += sub.cost
-            split = (self.costs.probe_fire, analyzer)
-        self._split_cache[etype] = split
-        return split
+    def site(self, etypes):
+        site = self._sites.get(etypes)
+        if site is None:
+            site = self._sites[etypes] = self._resolve(etypes)
+        return site
+
+    def _resolve(self, etypes):
+        enabled = self._enabled
+        costs = self.costs
+        cost = probe = analyzer = 0.0
+        for etype in etypes:
+            cost += self.cost(etype)
+            if etype in enabled:
+                probe += costs.probe_fire
+                callbacks = 0.0
+                for sub in self._snap[etype]:
+                    callbacks += sub.cost
+                analyzer += callbacks
+            else:
+                probe += costs.probe_disabled
+        return (
+            cost, probe, analyzer,
+            tuple(etype for etype in etypes if etype in enabled),
+        )
 
     def fire(self, etype, sim_ts=None, **fields):
         """Deliver one tracepoint hit to the current subscribers.

@@ -13,21 +13,21 @@ Attribution resolution, in precedence order:
    including syscall and network-stack work done on their behalf —
    counts toward monitoring.
 2. Call-site attribution passed to ``Cpu.submit(..., attribution=...)``:
-   either a single category string, or a tuple of ``(category,
-   seconds)`` pairs summing to the submitted amount for composite
-   charges (e.g. syscall entry = kernel fixed cost + probe + subscribed
-   analyzer callbacks).  Only the *first* pair is overridden by
-   ``task.category`` — probe/analyzer portions are monitoring cost no
-   matter who pays them.
+   either a single category string, or a composite ``(category, base,
+   probe, analyzer)`` whose seconds sum to the submitted amount (e.g.
+   syscall entry = kernel fixed cost + probe + subscribed analyzer
+   callbacks).  Only the *base* is overridden by ``task.category`` —
+   probe/analyzer portions are monitoring cost no matter who pays them.
 3. The default: ``workload``.
 
 Purity contract: the ledger is host-side bookkeeping.  Charging it
 consumes no simulated CPU, schedules no events, and reads no random
 streams; installing it cannot change a same-seed trace hash.  The
-per-node category sums equal ``kernel.cpu.busy_time`` exactly (the
-retire step hands the ledger precisely the seconds it added to
-``busy_time``; remainders are assigned to the last pair so float error
-cannot accumulate).
+per-node category sums equal ``kernel.cpu.busy_time`` to a relative
+1e-9, not bit for bit: the retire step hands the ledger the seconds it
+added to ``busy_time``, split into pieces whose rounding remainder goes
+to the last nonzero piece, but the ledger adds each piece to its own
+category, in another order than ``busy_time``'s single sum.
 
 Installation is process-global so experiments need no config plumbing::
 
@@ -95,10 +95,16 @@ class CpuLedger:
 
     def charge(self, node, category, seconds):
         """Attribute ``seconds`` of simulated CPU on ``node``."""
+        categories = self.account(node)
+        categories[category] = categories.get(category, 0.0) + seconds
+
+    def account(self, node):
+        """The live ``{category: seconds}`` dict of ``node``.  The CPU
+        retire step adds to it directly, as :meth:`charge` would."""
         categories = self._nodes.get(node)
         if categories is None:
             categories = self._nodes[node] = {}
-        categories[category] = categories.get(category, 0.0) + seconds
+        return categories
 
     # -- read side ------------------------------------------------------
 
@@ -123,7 +129,8 @@ class CpuLedger:
         return out
 
     def busy_total(self, node):
-        """Sum of all non-idle charges (equals ``cpu.busy_time``)."""
+        """Sum of all non-idle charges (``cpu.busy_time`` to a relative
+        1e-9)."""
         return sum(self._nodes.get(node, {}).values())
 
     def monitoring_time(self, node):

@@ -29,6 +29,8 @@ from repro.ossim import tracepoints as tp
 
 _EPSILON = 1e-12
 
+_SWITCH = (tp.SCHED_SWITCH,)
+
 
 class WorkItem:
     __slots__ = (
@@ -46,7 +48,8 @@ class WorkItem:
         self.started_at = None
         self.submitted_at = submitted_at
         # Ledger category tag: None (default by task/mode), a category
-        # string, or ((category, seconds), ...) pairs summing to amount.
+        # string, or a composite (category, base, probe, analyzer) whose
+        # seconds sum to amount.
         self.attribution = attribution
 
 
@@ -65,6 +68,7 @@ class Cpu:
         "sim", "kernel", "costs", "index", "_queues", "_running",
         "_last_task", "busy_time", "mode_time", "ctx_switch_count",
         "cpu_set", "_parked", "_epoch", "_start", "_overhead", "_slice",
+        "_switch_split",
     )
 
     def __init__(self, sim, kernel, costs, index=0):
@@ -86,6 +90,9 @@ class Cpu:
         self._start = 0.0
         self._overhead = 0.0
         self._slice = 0.0
+        # The (probe, analyzer) part of the last context switch's
+        # overhead, from the same site answer that costed it.
+        self._switch_split = (0.0, 0.0)
         sim._soon1(self._wake, 0)  # start hop
 
     # ------------------------------------------------------------------
@@ -148,9 +155,11 @@ class Cpu:
         task = item.task
         overhead = 0.0
         if task is not None and task is not self._last_task:
-            overhead = costs.context_switch
-            overhead += self.kernel.tracepoints.cost(tp.SCHED_SWITCH)
-            self._fire_switch(self._last_task, task)
+            cost, probe, analyzer, enabled = self.kernel.tracepoints.site(_SWITCH)
+            overhead = costs.context_switch + cost
+            self._switch_split = (probe, analyzer)
+            if enabled:
+                self._fire_switch(self._last_task, task)
             self._last_task = task
             self.ctx_switch_count += 1
             task.ctx_switches += 1
@@ -231,69 +240,66 @@ class Cpu:
                 task.state = TASK_READY
 
     def _attribute(self, ledger, item, ran, overhead, full_overhead):
-        """Hand the exact seconds just added to ``busy_time`` to the
-        attribution ledger, split by category.
+        """Hand the seconds just added to ``busy_time`` to the attribution
+        ledger, split by category.
 
         Host-side bookkeeping only — no simulated state is touched.  The
-        pieces are constructed so they sum to ``ran + overhead`` exactly
-        (remainders land on the final share), keeping per-node ledger
-        totals equal to ``busy_time`` bit-for-bit.
+        pieces are constructed so they sum to ``ran + overhead`` up to
+        float rounding (remainders land on the final share), keeping
+        per-node ledger totals within a relative 1e-9 of ``busy_time``.
         """
-        node = self.kernel.name
+        account = ledger.account(self.kernel.name)
         task = item.task
         sticky = task.category if task is not None else None
         if overhead > 0.0:
             # Context-switch overhead: the sched_switch probe/analyzer
             # portion is monitoring cost; the base switch is charged to
             # whoever caused the switch (the incoming item's category).
-            probe, analyzer = self.kernel.tracepoints.cost_split(tp.SCHED_SWITCH)
+            probe, analyzer = self._switch_split
             monitoring = probe + analyzer
             if monitoring > 0.0 and overhead < full_overhead and full_overhead > 0.0:
                 scale = overhead / full_overhead  # truncated by an interrupt
                 probe *= scale
                 analyzer *= scale
                 monitoring = probe + analyzer
-            if monitoring > overhead:  # subscriptions changed mid-slice
+            if monitoring > overhead:  # float rounding guard
                 probe = min(probe, overhead)
                 analyzer = overhead - probe
                 monitoring = overhead
-            ledger.charge(node, sticky or "workload", overhead - monitoring)
+            category = sticky or "workload"
+            account[category] = account.get(category, 0.0) + (overhead - monitoring)
             if monitoring > 0.0:
-                ledger.charge(node, "probe", probe)
-                ledger.charge(node, "analyzer", analyzer)
+                account["probe"] = account.get("probe", 0.0) + probe
+                account["analyzer"] = account.get("analyzer", 0.0) + analyzer
         if ran <= 0.0:
             return
         attribution = item.attribution
         if attribution is None:
-            ledger.charge(node, sticky or "workload", ran)
+            category = sticky or "workload"
         elif attribution.__class__ is str:
-            ledger.charge(node, sticky or attribution, ran)
+            category = sticky or attribution
         else:
-            # Composite charge: scale each (category, seconds) pair to
-            # this slice; only the first (base) pair yields to the
-            # task's sticky category.  The float remainder goes to the
-            # last *nonzero* pair so zero-cost monitoring pairs never
-            # pick up a stray -0.0.
-            scale = ran / item.total if item.total > 0.0 else 0.0
-            last = 0
-            for index in range(len(attribution) - 1, -1, -1):
-                if attribution[index][1] > 0.0:
-                    last = index
-                    break
-            charged = 0.0
-            for index, (category, seconds) in enumerate(attribution):
-                if index == 0 and sticky is not None:
-                    category = sticky
-                if index == last:
-                    continue
-                amount = seconds * scale
-                charged += amount
-                if amount != 0.0:
-                    ledger.charge(node, category, amount)
-            category = attribution[last][0]
-            if last == 0 and sticky is not None:
+            # Composite charge: scale each piece to this slice; only the
+            # base yields to the task's sticky category.  The float
+            # remainder goes to the last nonzero piece so zero-cost
+            # monitoring pieces never pick up a stray -0.0.
+            category, base, probe, analyzer = attribution
+            if sticky is not None:
                 category = sticky
-            ledger.charge(node, category, ran - charged)
+            if probe > 0.0 or analyzer > 0.0:
+                scale = ran / item.total if item.total > 0.0 else 0.0
+                charged = base * scale
+                if charged != 0.0:
+                    account[category] = account.get(category, 0.0) + charged
+                category = "probe"
+                if analyzer > 0.0:
+                    share = probe * scale
+                    if share != 0.0:
+                        account["probe"] = account.get("probe", 0.0) + share
+                        charged += share
+                    category = "analyzer"
+                ran -= charged
+        account[category] = account.get(category, 0.0) + ran
 
     def _fire_switch(self, prev, nxt):
         self.kernel.tracepoints.fire(

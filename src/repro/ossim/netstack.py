@@ -76,15 +76,11 @@ class NetStack:
             # Probes fire per wire frame in the real system; an aggregated
             # packet charges the per-frame monitoring cost `frames` times.
             base = costs.tx_packet_cost(size, frames)
-            cost = base + tracepoints.cost_many(_TX_EVENTS) * frames
+            cost, probe, analyzer, _ = tracepoints.site(_TX_EVENTS)
+            cost = base + cost * frames
             attribution = None
             if self.kernel.ledger is not None:
-                probe, analyzer = tracepoints.cost_split_many(_TX_EVENTS)
-                attribution = (
-                    ("netstack", base),
-                    ("probe", probe * frames),
-                    ("analyzer", analyzer * frames),
-                )
+                attribution = ("netstack", base, probe * frames, analyzer * frames)
             start, end = yield self.kernel.cpu.submit(
                 task, cost, "kernel", attribution=attribution
             )
@@ -103,7 +99,10 @@ class NetStack:
 
     def _fire_tx_events(self, packet, start, end, sock):
         tracepoints = self.kernel.tracepoints
-        if not any(tracepoints.enabled(etype) for etype in _TX_EVENTS):
+        # No callback subscribes or unsubscribes during a fan-out, so
+        # the types enabled now stay enabled for the whole packet.
+        enabled = tracepoints.site(_TX_EVENTS)[3]
+        if not enabled:
             return
         costs = self.costs
         base = costs.net_tx_sock + costs.net_tx_ip + costs.net_tx_driver
@@ -113,9 +112,9 @@ class NetStack:
         # Backfill layer boundaries proportionally across the segment.
         t_sock = start + span * (costs.net_tx_sock / base) if base else end
         t_ip = start + span * ((costs.net_tx_sock + costs.net_tx_ip) / base) if base else end
-        tracepoints.fire(tp.NET_TX_SOCK, sim_ts=t_sock, **fields)
-        tracepoints.fire(tp.NET_TX_IP, sim_ts=t_ip, **fields)
-        tracepoints.fire(tp.NET_TX_DRIVER, sim_ts=end, **fields)
+        for etype, sim_ts in zip(_TX_EVENTS, (t_sock, t_ip, end)):
+            if etype in enabled:
+                tracepoints.fire(etype, sim_ts=sim_ts, **fields)
 
     # ------------------------------------------------------------------
     # receive path (interrupt context)
@@ -124,16 +123,13 @@ class NetStack:
     def _rx_interrupt(self, packet):
         costs = self.costs
         tracepoints = self.kernel.tracepoints
-        base = costs.rx_packet_cost(packet.size, packet.frames)
-        cost = base + tracepoints.cost_many(_RX_EVENTS) * packet.frames
+        frames = packet.frames
+        base = costs.rx_packet_cost(packet.size, frames)
+        cost, probe, analyzer, _ = tracepoints.site(_RX_EVENTS)
+        cost = base + cost * frames
         attribution = None
         if self.kernel.ledger is not None:
-            probe, analyzer = tracepoints.cost_split_many(_RX_EVENTS)
-            attribution = (
-                ("netstack", base),
-                ("probe", probe * packet.frames),
-                ("analyzer", analyzer * packet.frames),
-            )
+            attribution = ("netstack", base, probe * frames, analyzer * frames)
         done = self.kernel.cpu.submit(
             None, cost, "kernel", band=BAND_IRQ, attribution=attribution
         )
@@ -159,7 +155,9 @@ class NetStack:
 
     def _fire_rx_events(self, packet, start, end, sock):
         tracepoints = self.kernel.tracepoints
-        if not any(tracepoints.enabled(etype) for etype in _RX_EVENTS):
+        # As on transmit: the enabled types hold for the whole fan-out.
+        enabled = tracepoints.site(_RX_EVENTS)[3]
+        if not enabled:
             return
         costs = self.costs
         base = costs.net_rx_driver + costs.net_rx_ip + costs.net_rx_transport
@@ -171,10 +169,9 @@ class NetStack:
             fields["rx_queue_depth"] = sock.rx_queue_depth
         t_driver = start + span * (costs.net_rx_driver / base) if base else end
         t_ip = start + span * ((costs.net_rx_driver + costs.net_rx_ip) / base) if base else end
-        tracepoints.fire(tp.NET_RX_DRIVER, sim_ts=t_driver, **fields)
-        tracepoints.fire(tp.NET_RX_IP, sim_ts=t_ip, **fields)
-        tracepoints.fire(tp.NET_RX_TRANSPORT, sim_ts=end, **fields)
-        tracepoints.fire(tp.SOCK_ENQUEUE, sim_ts=end, **fields)
+        for etype, sim_ts in zip(_RX_EVENTS, (t_driver, t_ip, end, end)):
+            if etype in enabled:
+                tracepoints.fire(etype, sim_ts=sim_ts, **fields)
 
     @staticmethod
     def _packet_fields(packet):

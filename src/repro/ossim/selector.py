@@ -10,6 +10,8 @@ consumed by an abandoned waiter.
 
 from repro.ossim import tracepoints as tp
 
+_DELIVER = (tp.SOCK_DELIVER,)
+
 
 class Selector:
     """Round-robin multiplexer over message/connection sources."""
@@ -77,18 +79,11 @@ class Selector:
             return None
         kernel = ctx.kernel
         tracepoints = kernel.tracepoints
-        copy_cost = (
-            kernel.costs.sock_copy_per_byte * message.size
-            + tracepoints.cost(tp.SOCK_DELIVER)
-        )
+        cost, probe, analyzer, _ = tracepoints.site(_DELIVER)
+        copy_cost = kernel.costs.sock_copy_per_byte * message.size + cost
         attribution = None
         if kernel.ledger is not None:
-            probe, analyzer = tracepoints.cost_split(tp.SOCK_DELIVER)
-            attribution = (
-                ("netstack", copy_cost - probe - analyzer),
-                ("probe", probe),
-                ("analyzer", analyzer),
-            )
+            attribution = ("netstack", copy_cost - probe - analyzer, probe, analyzer)
         yield kernel.cpu.submit(
             ctx.task, copy_cost, "kernel", attribution=attribution
         )

@@ -13,6 +13,10 @@ from repro.ossim.task import BAND_USER
 from repro.ossim import tracepoints as tp
 from repro.sim.errors import ConnectionReset, SimError
 
+_ENTRY = (tp.SYSCALL_ENTRY,)
+_EXIT = (tp.SYSCALL_EXIT,)
+_DELIVER = (tp.SOCK_DELIVER,)
+
 
 class TaskContext:
     """Handle through which a task computes, sleeps, and performs syscalls."""
@@ -69,30 +73,22 @@ class TaskContext:
     def _sys_enter(self, name):
         kernel = self.kernel
         tracepoints = kernel.tracepoints
-        cost = kernel.costs.syscall_entry + tracepoints.cost(tp.SYSCALL_ENTRY)
+        cost, probe, analyzer, _ = tracepoints.site(_ENTRY)
+        cost = kernel.costs.syscall_entry + cost
         attribution = None
         if kernel.ledger is not None:
-            probe, analyzer = tracepoints.cost_split(tp.SYSCALL_ENTRY)
-            attribution = (
-                ("syscall", cost - probe - analyzer),
-                ("probe", probe),
-                ("analyzer", analyzer),
-            )
+            attribution = ("syscall", cost - probe - analyzer, probe, analyzer)
         yield kernel.cpu.submit(self.task, cost, "kernel", attribution=attribution)
         tracepoints.fire(tp.SYSCALL_ENTRY, pid=self.task.pid, call=name)
 
     def _sys_exit(self, name):
         kernel = self.kernel
         tracepoints = kernel.tracepoints
-        cost = kernel.costs.syscall_exit + tracepoints.cost(tp.SYSCALL_EXIT)
+        cost, probe, analyzer, _ = tracepoints.site(_EXIT)
+        cost = kernel.costs.syscall_exit + cost
         attribution = None
         if kernel.ledger is not None:
-            probe, analyzer = tracepoints.cost_split(tp.SYSCALL_EXIT)
-            attribution = (
-                ("syscall", cost - probe - analyzer),
-                ("probe", probe),
-                ("analyzer", analyzer),
-            )
+            attribution = ("syscall", cost - probe - analyzer, probe, analyzer)
         yield kernel.cpu.submit(self.task, cost, "kernel", attribution=attribution)
         tracepoints.fire(tp.SYSCALL_EXIT, pid=self.task.pid, call=name)
 
@@ -176,18 +172,11 @@ class TaskContext:
             yield from self._sys_exit("recv")
             return None
         tracepoints = self.kernel.tracepoints
-        copy_cost = (
-            self.kernel.costs.sock_copy_per_byte * message.size
-            + tracepoints.cost(tp.SOCK_DELIVER)
-        )
+        cost, probe, analyzer, _ = tracepoints.site(_DELIVER)
+        copy_cost = self.kernel.costs.sock_copy_per_byte * message.size + cost
         attribution = None
         if self.kernel.ledger is not None:
-            probe, analyzer = tracepoints.cost_split(tp.SOCK_DELIVER)
-            attribution = (
-                ("netstack", copy_cost - probe - analyzer),
-                ("probe", probe),
-                ("analyzer", analyzer),
-            )
+            attribution = ("netstack", copy_cost - probe - analyzer, probe, analyzer)
         yield self.kernel.cpu.submit(
             self.task, copy_cost, "kernel", attribution=attribution
         )

@@ -8,11 +8,14 @@ provides the real implementation, and :class:`NullTracepoints` is the
 unpatched-kernel stand-in.
 
 Cost discipline: a code path about to fire events *first* asks
-:meth:`Tracepoints.cost` for the CPU overhead of the enabled probes (and
-their subscribed analyzer callbacks) and charges it to the simulated CPU
-as part of its own work, then calls :meth:`Tracepoints.fire`.  This is
-what makes monitoring perturbation an emergent property of the
-simulation rather than a constant typed into the results.
+:meth:`Tracepoints.site` for its tuple of event types, which answers the
+CPU overhead of the enabled probes (and their subscribed analyzer
+callbacks), that overhead's probe/analyzer split for the attribution
+ledger, and which of the types are enabled.  The path charges the
+overhead to the simulated CPU as part of its own work, then calls
+:meth:`Tracepoints.fire` for the enabled types.  This is what makes
+monitoring perturbation an emergent property of the simulation rather
+than a constant typed into the results.
 """
 
 # Scheduling events
@@ -77,6 +80,10 @@ EVENT_CLASSES = {
 }
 
 
+#: What every site answers with all probes compiled out.
+_OFF_SITE = (0.0, 0.0, 0.0, ())
+
+
 class Tracepoints:
     """Interface the simulated kernel fires events through."""
 
@@ -88,32 +95,19 @@ class Tracepoints:
         """Simulated CPU seconds one firing of ``etype`` will consume."""
         return 0.0
 
-    def cost_many(self, etypes):
-        """Summed :meth:`cost` over several event types."""
-        total = 0.0
-        for etype in etypes:
-            total += self.cost(etype)
-        return total
+    def site(self, etypes):
+        """Everything a probe site firing ``etypes`` (a tuple) needs, as
+        ``(cost, probe, analyzer, enabled)``.
 
-    def cost_split(self, etype):
-        """:meth:`cost` decomposed as ``(probe, analyzer)`` seconds.
-
-        ``probe`` is the fixed event-emission cost, ``analyzer`` the
-        subscribed callbacks' declared cost.  Used by the attribution
-        ledger (:mod:`repro.observability.ledger`) to split composite
-        kernel charges; implementations must keep ``probe + analyzer ==
-        cost(etype)``.  The default attributes everything to the probe.
+        ``cost`` is the summed :meth:`cost` of the types; ``probe`` and
+        ``analyzer`` split it for the attribution ledger
+        (:mod:`repro.observability.ledger`) into the fixed event-emission
+        cost and the subscribed callbacks' declared cost; ``enabled`` is
+        the tuple of the types with a subscriber, in ``etypes`` order.
+        Every sum runs left to right from ``0.0``.  The answer changes
+        only when the subscriptions do, so implementations may cache it.
         """
-        return (self.cost(etype), 0.0)
-
-    def cost_split_many(self, etypes):
-        """Summed :meth:`cost_split` over several event types."""
-        probe = analyzer = 0.0
-        for etype in etypes:
-            p, a = self.cost_split(etype)
-            probe += p
-            analyzer += a
-        return (probe, analyzer)
+        return _OFF_SITE
 
     def fire(self, etype, ts=None, **fields):
         """Emit one event.  ``ts`` overrides the node-local timestamp when

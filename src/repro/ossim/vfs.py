@@ -57,15 +57,11 @@ class Vfs:
         """Charge ``base`` plus the probe cost for one firing of ``etype``,
         attributing the base work to the block-I/O ledger category."""
         kernel = self.kernel
-        cost = base + kernel.tracepoints.cost(etype)
+        cost, probe, analyzer, _ = kernel.tracepoints.site((etype,))
+        cost = base + cost
         attribution = None
         if kernel.ledger is not None:
-            probe, analyzer = kernel.tracepoints.cost_split(etype)
-            attribution = (
-                ("blockio", base),
-                ("probe", probe),
-                ("analyzer", analyzer),
-            )
+            attribution = ("blockio", base, probe, analyzer)
         return kernel.cpu.submit(task, cost, "kernel", attribution=attribution)
 
     def open(self, task, path, create=True):

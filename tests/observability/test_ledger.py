@@ -1,10 +1,19 @@
 """Attribution-ledger invariants: category sums, sticky tasks, idle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import Cluster
+from repro.core.kprof import Kprof
 from repro.observability import ledger as cpu_ledger
 from repro.observability.ledger import CATEGORIES, CpuLedger
+from repro.ossim import tracepoints as tp
+from repro.ossim.costs import CostModel
+from repro.ossim.task import BAND_IRQ, BAND_KERNEL, BAND_USER, Task
 from tests.core.helpers import build_monitored_pair, drive_traffic
+
+TICK = 2.0 ** -10
 
 
 @pytest.fixture
@@ -91,3 +100,133 @@ def test_table_rows_shape():
     # node + 7 non-idle categories + busy + monitoring %
     assert len(rows[0]) == 10
     assert rows[0][0] == "a"
+
+
+def _ledgered_node(costs, cpus=1):
+    """A one-node cluster whose kernel charges a fresh ledger."""
+    led = cpu_ledger.install()
+    try:
+        node = Cluster(seed=1, costs=costs).add_node("n", cpus=cpus)
+    finally:
+        cpu_ledger.uninstall()
+    return led, node
+
+
+@pytest.mark.parametrize("subscribe_at, unsubscribe_at", [
+    (1200, None), (100, None), (None, 1200),
+])
+def test_switch_monitoring_is_booked_from_the_subscriptions_that_costed_it(
+    subscribe_at, unsubscribe_at
+):
+    """Two user tasks alternate 64-tick quanta behind a one-tick context
+    switch while a sched.switch subscriber comes or goes mid-slice.  The
+    ledger must book each switch's monitoring as the CPU costed it when
+    the slice started, not as the subscriptions stand when it ends."""
+    costs = CostModel().override(context_switch=TICK, quantum=64 * TICK)
+    led, node = _ledgered_node(costs)
+    kernel = node.kernel
+    kprof = Kprof(kernel).attach()
+    subscriptions = []
+
+    def subscribe():
+        subscriptions.append(
+            kprof.subscribe([tp.SCHED_SWITCH], lambda event: None, cost=TICK / 4)
+        )
+
+    if subscribe_at is None:
+        subscribe()
+    else:
+        node.sim.schedule_at(subscribe_at * TICK, subscribe)
+    if unsubscribe_at is not None:
+        node.sim.schedule_at(
+            unsubscribe_at * TICK, lambda: kprof.unsubscribe(subscriptions[0])
+        )
+    for pid, name in ((100, "u1"), (101, "u2")):
+        kernel.cpu.submit(Task(pid, name, kernel), 640 * TICK)
+    node.sim.run()
+
+    cpu = kernel.cpu
+    costed = cpu.mode_time["ctx"] - cpu.ctx_switch_count * costs.context_switch
+    assert costed > 0.0
+    assert led.monitoring_time("n") == pytest.approx(costed, rel=1e-9)
+    assert led.busy_total("n") == pytest.approx(cpu.busy_time, rel=1e-9)
+
+
+#: Base categories a composite charge may carry.
+_BASES = ("workload", "syscall", "netstack", "blockio")
+
+_monitoring_seconds = st.one_of(st.just(0.0), st.floats(1e-7, 1e-4))
+
+
+@st.composite
+def _attributions(draw, amount):
+    """Every attribution shape for ``amount`` seconds of work; returns
+    ``(attribution, seconds to submit)``."""
+    shape = draw(st.sampled_from(("none", "string", "composite")))
+    if shape == "none":
+        return None, amount
+    if shape == "string":
+        return draw(st.sampled_from(_BASES + ("dissemination",))), amount
+    probe, analyzer = draw(_monitoring_seconds), draw(_monitoring_seconds)
+    attribution = (draw(st.sampled_from(_BASES)), amount, probe, analyzer)
+    return attribution, amount + probe + analyzer
+
+
+@st.composite
+def _submits(draw):
+    """One submit: ``(half-tick it arrives at, band, task index, amount,
+    attribution)``; interrupts land on half ticks, inside switches too."""
+    band = draw(st.sampled_from((BAND_IRQ, BAND_KERNEL, BAND_USER)))
+    amount = draw(st.floats(1e-6, 100 * TICK))
+    attribution, amount = draw(_attributions(amount))
+    return (draw(st.integers(0, 800)), band, draw(st.integers(0, 2)),
+            amount, attribution)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    cpus=st.sampled_from((1, 2)),
+    stickies=st.lists(
+        st.sampled_from((None, "analyzer", "dissemination")), min_size=3, max_size=3
+    ),
+    switch_subscribers=st.lists(
+        st.tuples(st.integers(0, 400), st.floats(1e-7, 1e-4)), max_size=2
+    ),
+    submits=st.lists(_submits(), min_size=1, max_size=20),
+)
+def test_ledger_invariants_hold_on_random_schedules(
+    cpus, stickies, switch_subscribers, submits
+):
+    costs = CostModel().override(context_switch=TICK, quantum=64 * TICK)
+    led, node = _ledgered_node(costs, cpus=cpus)
+    kernel = node.kernel
+    sim = node.sim
+    kprof = Kprof(kernel).attach()
+    for at, cost in switch_subscribers:
+        def subscribe(cost=cost):
+            kprof.subscribe([tp.SCHED_SWITCH], lambda event: None, cost=cost)
+
+        if at == 0:
+            subscribe()
+        else:
+            sim.schedule_at(at * TICK, subscribe)
+    tasks = {}
+    for half_ticks, band, index, amount, attribution in submits:
+        owner = None
+        if band != BAND_IRQ:
+            owner = tasks.get((band, index))
+            if owner is None:
+                owner = tasks[band, index] = Task(100 + len(tasks), "t", kernel, band)
+                owner.category = stickies[index]
+        sim.schedule_at(
+            half_ticks * TICK / 2, kernel.cpu.submit, owner, amount, "kernel",
+            band, attribution,
+        )
+    sim.run()
+
+    busy = kernel.cpu.busy_time
+    assert busy > 0.0
+    for category, seconds in led.breakdown("n", include_idle=False).items():
+        assert seconds >= 0.0, (category, seconds)
+    assert abs(led.busy_total("n") - busy) <= 1e-9 * busy
+    assert led.monitoring_time("n") <= busy * (1.0 + 1e-9)
