@@ -42,9 +42,7 @@ _GAUGE_FIELDS = frozenset((
     # standby/root, 0 when back on its primary parent
     "failed_over",
     # simulator engine levels (sysprof.sim.*)
-    "delivery_depth", "lane_depth_interrupt", "lane_depth_normal",
-    "lane_depth_low", "pool_size", "store_size", "store_slots",
-    "store_free_slots", "store_buckets", "store_overflow",
+    "delivery_depth", "store_size", "store_buckets", "store_overflow",
 ))
 
 

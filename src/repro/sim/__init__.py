@@ -5,17 +5,7 @@ layer above — the OS, the network, and SysProf itself (§2) —
 schedules through this engine, which is what makes same-seed runs
 byte-identical and the paper's overhead results reproducible."""
 
-from repro.sim.engine import (
-    PRIORITY_INTERRUPT,
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-    AllOf,
-    AnyOf,
-    Handle,
-    Simulator,
-    Timeout,
-    Waitable,
-)
+from repro.sim.engine import AllOf, AnyOf, Simulator, Timeout, Waitable
 from repro.sim.errors import Interrupt, ProcessCrashed, SimError, StaleWaitable
 from repro.sim.process import Process
 from repro.sim.resources import Gate, Resource, Store
@@ -26,12 +16,8 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Gate",
-    "Handle",
     "Histogram",
     "Interrupt",
-    "PRIORITY_INTERRUPT",
-    "PRIORITY_LOW",
-    "PRIORITY_NORMAL",
     "Process",
     "ProcessCrashed",
     "RandomStreams",

@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation engine.
 
-The engine orders ``(time, priority, seq)`` keys.  All higher-level
-constructs (processes, timeouts, resources, sockets, CPU schedulers) are
-built from two primitives:
+The engine orders ``(time, seq)`` keys.  All higher-level constructs
+(processes, timeouts, resources, sockets, CPU schedulers) are built from
+two primitives:
 
 * :meth:`Simulator.schedule` — run a callback at an absolute offset, and
 * :class:`Waitable` — a one-shot completion cell that callbacks (and
@@ -14,38 +14,28 @@ diffs event streams across configurations.  The ``seq`` counter breaks
 time ties in insertion order and no wall-clock value ever enters the
 simulation.
 
-Storage is split three ways (``docs/performance.md``):
+Pending work lives in two structures (``docs/performance.md``):
 
-* the array-backed :class:`CalendarQueue` for future events;
-* three same-time FIFO *fast lanes*, one per priority band, fed by
-  ``call_soon()`` / ``schedule(0.0, ...)``;
-* a *delivery lane* of immutable ``(seq, fn, arg)`` tuples for handle-less
-  Waitable callback delivery — the single hottest path in the tree.
+* the :class:`CalendarQueue` of ``(time, seq, fn, args)`` keys, fed by
+  ``schedule()``, ``call_soon()`` and ``_at()``;
+* the *delivery lane*, a FIFO of ``(seq, fn, arg)`` tuples fed by
+  ``_soon1()`` for Waitable callback delivery — the single hottest path
+  in the tree.
 
-The split is an implementation detail: every entry still carries its
-``(time, priority, seq)`` key and the dispatch loop always pops the
-global minimum, so ordering is bit-for-bit identical to a single-heap
-engine.  The load-bearing invariant is that a lane entry's time equals
-``now`` at insertion and the clock can never advance past a pending lane
-entry (the lane entry is a strictly smaller key than any later-time
-event), so lane entries are always due and lanes never need sorting.
+One loop, :meth:`Simulator._drain`, serves both ``run()`` and ``step()``
+and always dispatches the global ``(time, seq)`` minimum.  A delivery is
+due at the ``now`` it was queued at, and the clock cannot advance past
+it: the lane head is a smaller key than any later-time calendar entry.
+Since ``seq`` only grows, the lane is sorted by construction.
 
-There is one configuration and one dispatch loop.  Its oracle is stored
-data: the dispatch orderings and same-seed trace digests in
-``tests/fixtures/golden_digests.json``.
+Its oracle is stored data: the dispatch orderings and same-seed trace
+digests in ``tests/fixtures/golden_digests.json``.
 """
 
 from heapq import heapify, heappop, heappush
 from collections import deque
 
 from repro.sim.errors import SimError, StaleWaitable
-
-#: Scheduling priority bands for simultaneous events.  Lower runs first.
-PRIORITY_INTERRUPT = 0
-PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
-
-_LANE_PRIORITIES = (PRIORITY_INTERRUPT, PRIORITY_NORMAL, PRIORITY_LOW)
 
 #: Calendar-queue bucket width in simulated seconds.  Costs in the OS
 #: model are microsecond-scale and timers millisecond-scale, so a 1 ms
@@ -57,95 +47,15 @@ DEFAULT_CALENDAR_WIDTH = 1e-3
 #: into the overflow heap.
 DEFAULT_CALENDAR_BUCKETS = 4096
 
-#: Initial slot-column capacity of a :class:`CalendarQueue` (grows by
-#: doubling).
-_INITIAL_SLOTS = 256
-
-#: Purge cancelled store entries once at least this many accumulate *and*
-#: they make up half the store (amortised O(1) per cancel).
-_PURGE_MIN_CANCELLED = 64
-
-#: Upper bound on recycled lane-entry lists kept for reuse.
-_POOL_LIMIT = 1024
-
-# Lane entry layout (a mutable list so cancellation can null the
-# callback):
-#   [time, priority, seq, args, fn]
-# ``fn is None`` marks a cancelled (or already-dispatched) entry.  Lane
-# entries are recycled through ``Simulator._pool`` after dispatch; the
-# ``seq`` stamp is what protects a recycled entry from a stale Handle
-# (see :class:`Handle`).
-
-
-class Handle:
-    """Cancellation handle for a lane-scheduled (zero-delay) callback.
-
-    The handle captures the entry's ``seq`` at creation time.  Lane
-    entries are recycled through the simulator's pool after dispatch, so
-    a stale handle may find its entry list re-stamped for a *different*
-    event; the seq comparison makes ``cancel()`` a safe no-op in that
-    case.  ``cancelled`` reports only on this handle's own event and
-    never reads a recycled entry.
-    """
-
-    __slots__ = ("_sim", "_entry", "_seq", "_cancelled")
-
-    def __init__(self, sim, entry):
-        self._sim = sim
-        self._entry = entry
-        self._seq = entry[2]
-        self._cancelled = False
-
-    def cancel(self):
-        """Prevent the callback from running.  Idempotent."""
-        entry = self._entry
-        if entry[2] == self._seq and entry[4] is not None:
-            entry[4] = None
-            entry[3] = None
-            self._cancelled = True
-            self._sim._cancels += 1
-
-    @property
-    def cancelled(self):
-        return self._cancelled
-
-
-class SlotHandle:
-    """Cancellation handle for a calendar-queue entry.
-
-    Calendar entries live in recycled slot columns, so the handle keeps
-    the slot's generation stamp; once the slot is freed and reused the
-    generation no longer matches and ``cancel()`` is a safe no-op.
-    """
-
-    __slots__ = ("_store", "_slot", "_gen", "_cancelled")
-
-    def __init__(self, store, slot, gen):
-        self._store = store
-        self._slot = slot
-        self._gen = gen
-        self._cancelled = False
-
-    def cancel(self):
-        """Prevent the callback from running.  Idempotent."""
-        if not self._cancelled and self._store.cancel(self._slot, self._gen):
-            self._cancelled = True
-
-    @property
-    def cancelled(self):
-        return self._cancelled
-
 
 class CalendarQueue:
-    """Array-backed calendar-queue event store.
+    """Calendar-queue event store of ``(time, seq, fn, args)`` keys.
 
-    Callbacks and argument tuples live in preallocated parallel *slot
-    columns* (``_fns`` / ``_args`` / ``_gens``) recycled through a free
-    list, so the keys that move through the ordering structures are
-    small immutable ``(time, priority, seq, slot)`` tuples.  Ordering is
-    three-level:
+    ``seq`` is unique, so comparing two keys never reaches ``fn``.
+    Ordering is three-level:
 
-    * the *active* bucket — a tiny binary heap holding the earliest tick;
+    * the *active* bucket — a tiny binary heap holding the earliest tick
+      (and any push at or before it, such as a zero-delay one);
     * future ticks inside the window — unsorted per-tick lists reached
       through a heap of tick ids, heapified only on activation;
     * everything at or beyond the window horizon — an overflow heap,
@@ -161,10 +71,6 @@ class CalendarQueue:
         "width",
         "nbuckets",
         "_inv_width",
-        "_fns",
-        "_args",
-        "_gens",
-        "_free",
         "_buckets",
         "_tick_heap",
         "_overflow",
@@ -176,9 +82,6 @@ class CalendarQueue:
         "spills",
         "pulls",
         "advances",
-        "purges",
-        "cancelled",
-        "_cancel_count",
     )
 
     def __init__(self, width=None, nbuckets=None):
@@ -189,10 +92,6 @@ class CalendarQueue:
         if self.nbuckets < 1:
             raise SimError("calendar needs at least one bucket")
         self._inv_width = 1.0 / self.width
-        self._fns = [None] * _INITIAL_SLOTS
-        self._args = [None] * _INITIAL_SLOTS
-        self._gens = [0] * _INITIAL_SLOTS
-        self._free = list(range(_INITIAL_SLOTS - 1, -1, -1))
         self._buckets = {}
         self._tick_heap = []
         self._overflow = []
@@ -204,28 +103,10 @@ class CalendarQueue:
         self.spills = 0
         self.pulls = 0
         self.advances = 0
-        self.purges = 0
-        self.cancelled = 0
-        self._cancel_count = 0
 
-    def _grow(self):
-        cap = len(self._fns)
-        self._fns.extend([None] * cap)
-        self._args.extend([None] * cap)
-        self._gens.extend([0] * cap)
-        # Hand out the lowest new slot, stack the rest for reuse.
-        self._free.extend(range(2 * cap - 1, cap, -1))
-        return cap
-
-    def push(self, when, priority, seq, fn, args):
-        """Insert ``fn(*args)`` at key ``(when, priority, seq)``; returns
-        its slot (a :class:`SlotHandle` needs it and the slot's current
-        generation)."""
-        free = self._free
-        slot = free.pop() if free else self._grow()
-        self._fns[slot] = fn
-        self._args[slot] = args
-        key = (when, priority, seq, slot)
+    def push(self, when, seq, fn, args):
+        """Insert ``fn(*args)`` at key ``(when, seq)``."""
+        key = (when, seq, fn, args)
         tick = int(when * self._inv_width)
         active_tick = self._active_tick
         if active_tick is None:
@@ -236,9 +117,9 @@ class CalendarQueue:
             self._horizon = tick + self.nbuckets
             self.head = key
         elif tick <= active_tick:
-            # Same (or earlier — possible for zero-delay pushes with a
-            # custom priority) tick as the active bucket: the active heap
-            # is the only structure that keeps exact order.
+            # Same (or earlier — a zero-delay push while the active bucket
+            # holds a later tick) tick as the active bucket: the active
+            # heap is the only structure that keeps exact order.
             heappush(self._active, key)
             self.head = self._active[0]
         elif tick < self._horizon:
@@ -252,41 +133,16 @@ class CalendarQueue:
             heappush(self._overflow, key)
             self.spills += 1
         self.size += 1
-        return slot
 
-    def pop_live(self):
-        """Pop the head entry and free its slot.
-
-        Returns ``(fn, args)``; ``fn`` is None when the head had been
-        cancelled (callers skip and retry).
-        """
+    def pop(self):
+        """Remove and return the head key."""
         key = heappop(self._active)
-        slot = key[3]
-        fn = self._fns[slot]
-        args = self._args[slot]
-        self._fns[slot] = None
-        self._args[slot] = None
-        self._gens[slot] += 1
-        self._free.append(slot)
         self.size -= 1
         if self._active:
             self.head = self._active[0]
         else:
             self._advance()
-        return fn, args
-
-    def live_head(self):
-        """The minimum live key, discarding cancelled heads."""
-        head = self.head
-        if head is None:
-            return None
-        fns = self._fns
-        while fns[head[3]] is None:
-            self.pop_live()
-            head = self.head
-            if head is None:
-                return None
-        return head
+        return key
 
     def _advance(self):
         """Activate the next non-empty tick (migrating overflow if needed)."""
@@ -326,78 +182,15 @@ class CalendarQueue:
                     bucket.append(key)
                 self.pulls += 1
 
-    def cancel(self, slot, gen):
-        """Cancel the entry in ``slot`` if its generation still matches."""
-        if self._gens[slot] != gen or self._fns[slot] is None:
-            return False
-        self._fns[slot] = None
-        self._args[slot] = None
-        self.cancelled += 1
-        self._cancel_count += 1
-        if (
-            self._cancel_count >= _PURGE_MIN_CANCELLED
-            and self._cancel_count * 2 >= self.size
-        ):
-            self._purge()
-        return True
-
-    def _purge(self):
-        """Drop cancelled entries from every structure and free their slots."""
-        fns = self._fns
-        gens = self._gens
-        free = self._free
-        dropped = 0
-
-        def sweep(keys):
-            nonlocal dropped
-            live = []
-            for key in keys:
-                slot = key[3]
-                if fns[slot] is None:
-                    gens[slot] += 1
-                    free.append(slot)
-                    dropped += 1
-                else:
-                    live.append(key)
-            return live
-
-        active = sweep(self._active)
-        heapify(active)
-        self._active = active
-        buckets = self._buckets
-        for tick in list(buckets):
-            kept = sweep(buckets[tick])
-            if kept:
-                buckets[tick] = kept
-            else:
-                del buckets[tick]
-        tick_heap = list(buckets)
-        heapify(tick_heap)
-        self._tick_heap = tick_heap
-        overflow = sweep(self._overflow)
-        heapify(overflow)
-        self._overflow = overflow
-        self.size -= dropped
-        self._cancel_count = 0
-        self.purges += 1
-        if active:
-            self.head = active[0]
-        else:
-            self._advance()
-
     def stats(self):
         """Store counters, folded into :meth:`Simulator.stats`."""
         return {
             "size": self.size,
-            "slots": len(self._fns),
-            "free_slots": len(self._free),
             "buckets": len(self._buckets),
             "overflow": len(self._overflow),
             "spills": self.spills,
             "pulls": self.pulls,
             "advances": self.advances,
-            "purges": self.purges,
-            "cancelled": self.cancelled,
         }
 
 
@@ -583,12 +376,12 @@ class AllOf(Waitable):
 
 
 class Simulator:
-    """The event loop: a calendar queue for future events plus same-time
-    lanes, drained in global ``(time, priority, seq)`` order.
+    """The event loop: a calendar queue for timed events plus the delivery
+    lane, drained in global ``(time, seq)`` order.
 
     >>> sim = Simulator()
     >>> ticks = []
-    >>> _ = sim.schedule(5.0, lambda: ticks.append(sim.now))
+    >>> sim.schedule(5.0, lambda: ticks.append(sim.now))
     >>> sim.run()
     >>> ticks
     [5.0]
@@ -596,46 +389,24 @@ class Simulator:
 
     def __init__(self):
         self.now = 0.0
-        self._lanes = (deque(), deque(), deque())
         self._dq = deque()
-        self._pool = []
         self._seqn = 0
         self._running = False
-        self._cancels = 0
-        self._pool_hits = 0
-        self._pool_misses = 0
         self._store = CalendarQueue()
 
     # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
 
-    def schedule(self, delay, fn, *args, priority=PRIORITY_NORMAL):
+    def schedule(self, delay, fn, *args):
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimError("cannot schedule into the past (delay={})".format(delay))
         seq = self._seqn + 1
         self._seqn = seq
-        if delay == 0.0 and priority in _LANE_PRIORITIES:
-            pool = self._pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = self.now
-                entry[1] = priority
-                entry[2] = seq
-                entry[3] = args
-                entry[4] = fn
-                self._pool_hits += 1
-            else:
-                entry = [self.now, priority, seq, args, fn]
-                self._pool_misses += 1
-            self._lanes[priority].append(entry)
-            return Handle(self, entry)
-        store = self._store
-        slot = store.push(self.now + delay, priority, seq, fn, args)
-        return SlotHandle(store, slot, store._gens[slot])
+        self._store.push(self.now + delay, seq, fn, args)
 
-    def schedule_at(self, when, fn, *args, priority=PRIORITY_NORMAL):
+    def schedule_at(self, when, fn, *args):
         """Run ``fn(*args)`` at absolute simulated time ``when``.
 
         Float accumulation can make a "now" computed as a sum of deltas
@@ -645,38 +416,33 @@ class Simulator:
         delay = when - self.now
         if delay < 0 and -delay <= 1e-9 * max(1.0, abs(self.now)):
             delay = 0.0
-        return self.schedule(delay, fn, *args, priority=priority)
+        self.schedule(delay, fn, *args)
 
-    def call_soon(self, fn, *args, priority=PRIORITY_NORMAL):
+    def call_soon(self, fn, *args):
         """Run ``fn(*args)`` at the current time, after pending same-time work."""
-        return self.schedule(0.0, fn, *args, priority=priority)
+        self.schedule(0.0, fn, *args)
 
     def _soon1(self, fn, arg):
-        """Handle-less single-argument :meth:`call_soon` (hot path).
+        """Single-argument :meth:`call_soon` on the delivery lane (hot path).
 
-        Deliveries enqueue as immutable ``(seq, fn, arg)`` tuples on the
-        delivery lane: no entry list, no pool traffic, and nothing a
-        stale :class:`Handle` could ever reference.  The tuples rank as
-        ``PRIORITY_NORMAL`` at the current time, merged with lane-1
-        entries by ``seq``.
+        Appends an immutable ``(seq, fn, arg)`` tuple; it runs at the
+        current time, merged with same-time calendar entries by ``seq``.
         """
         seq = self._seqn + 1
         self._seqn = seq
         self._dq.append((seq, fn, arg))
 
     def _at(self, delay, fn, arg):
-        """Handle-less single-argument :meth:`schedule` (hot path).
+        """Single-argument :meth:`schedule` (hot path).
 
-        The store-side twin of :meth:`_soon1`: ``fn(arg)`` runs ``delay``
-        (>= 0) seconds from now at ``PRIORITY_NORMAL``, ordered by its
-        ``seq`` like any store entry, but no :class:`SlotHandle` is built,
-        so it cannot be cancelled.  Devices that never cancel (the CPU
-        slice timer, the link serializer, :class:`Timeout`) schedule
-        through it.
+        ``fn(arg)`` runs ``delay`` seconds from now; the caller guarantees
+        ``delay >= 0``, so there is no check and no varargs packing.  The
+        devices (the CPU slice timer, the link serializer) and
+        :class:`Timeout` schedule through it.
         """
         seq = self._seqn + 1
         self._seqn = seq
-        self._store.push(self.now + delay, PRIORITY_NORMAL, seq, fn, (arg,))
+        self._store.push(self.now + delay, seq, fn, (arg,))
 
     # ------------------------------------------------------------------
     # waitable factories
@@ -708,96 +474,9 @@ class Simulator:
     # running
     # ------------------------------------------------------------------
 
-    def _step_one(self, until=None):
-        """Dispatch exactly one event (the global minimum key).
-
-        Returns False when nothing is pending or the next event lies
-        beyond ``until``.  This is the generic selector behind
-        :meth:`step`; :meth:`_run_lanes` inlines exactly this order.
-        """
-        now = self.now
-        pool = self._pool
-        lane = None
-        entry = None
-        epri = eseq = None
-        band = PRIORITY_INTERRUPT
-        for candidate in self._lanes:
-            while candidate:
-                head = candidate[0]
-                if head[4] is None:
-                    candidate.popleft()
-                    head[3] = None
-                    if len(pool) < _POOL_LIMIT:
-                        pool.append(head)
-                    continue
-                break
-            else:
-                band += 1
-                continue
-            # Lanes are checked in priority order and all lane entries
-            # share the same timestamp, so the first live head wins.
-            lane = candidate
-            entry = head
-            epri = band
-            eseq = head[2]
-            break
-        dq = self._dq
-        if dq and (entry is None or (PRIORITY_NORMAL, dq[0][0]) < (epri, eseq)):
-            lane = None
-            entry = None
-            epri = PRIORITY_NORMAL
-            eseq = dq[0][0]
-            use_dq = True
-        else:
-            use_dq = False
-        store = self._store
-        while True:
-            key = store.live_head()
-            if key is None:
-                break
-            when = key[0]
-            if entry is None and not use_dq:
-                if until is not None and when > until:
-                    return False
-            elif when > now or (key[1], key[2]) >= (epri, eseq):
-                break
-            fn, args = store.pop_live()
-            if fn is None:
-                continue
-            if when < now:
-                raise SimError("time went backwards: {} < {}".format(when, now))
-            self.now = when
-            fn(*args)
-            return True
-        if use_dq:
-            item = dq.popleft()
-            item[1](item[2])
-            return True
-        if entry is None:
-            return False
-        lane.popleft()
-        fn = entry[4]
-        args = entry[3]
-        entry[3] = entry[4] = None
-        if len(pool) < _POOL_LIMIT:
-            pool.append(entry)
-        fn(*args)
-        return True
-
-    def peek(self):
-        """Time of the next pending event, or ``None`` if nothing is queued."""
-        if self._dq:
-            return self.now
-        for lane in self._lanes:
-            for entry in lane:
-                if entry[4] is not None:
-                    return entry[0]
-        key = self._store.live_head()
-        return key[0] if key is not None else None
-
     def step(self):
         """Process exactly one pending event.  Returns False if none remain."""
-        return self._step_one()
+        return self._drain(None, True)
 
     def run(self, until=None):
         """Run until the queues drain or ``until`` (absolute time) is reached.
@@ -811,7 +490,7 @@ class Simulator:
         self._running = True
         try:
             if until is None or until >= self.now:
-                self._run_lanes(until)
+                self._drain(until, False)
             if until is not None:
                 if until < self.now:
                     raise SimError(
@@ -821,111 +500,37 @@ class Simulator:
         finally:
             self._running = False
 
-    def _run_lanes(self, until):
-        """The lane-accelerated drain loop — the hottest region in the tree.
+    def _drain(self, until, once):
+        """The one dispatch loop — the hottest region in the tree.
 
-        It inlines :meth:`_step_one` with containers bound to locals
-        (see ``benchmarks/test_bench_engine.py``).  Lane/delivery entries
-        are always at ``now`` and ``now`` can only advance through store
-        dispatches, which re-check ``until``; the entry guard in
-        :meth:`run` therefore keeps every dispatch ``<= until``.
+        Each pass dispatches the global ``(time, seq)`` minimum: the
+        delivery lane's head unless the calendar head is a smaller key.
+        Deliveries are at ``now`` and never move the clock, so only a
+        calendar dispatch checks ``until``; the entry guard in :meth:`run`
+        therefore keeps every dispatch ``<= until``.  Returns True after
+        one dispatch when ``once`` is set, and False once nothing is due.
         """
         dq = self._dq
-        lane0, lane1, lane2 = self._lanes
-        pool = self._pool
         store = self._store
         now = self.now
         while True:
-            # Band candidate: the live head of the lowest non-empty band,
-            # with the delivery lane merged into band 1 by seq.
-            entry = None
-            lane = None
-            use_dq = False
-            if lane0:
-                entry = lane0[0]
-                if entry[4] is None:
-                    lane0.popleft()
-                    entry[3] = None
-                    if len(pool) < _POOL_LIMIT:
-                        pool.append(entry)
-                    continue
-                lane = lane0
-                epri = 0
-                eseq = entry[2]
-            elif lane1:
-                entry = lane1[0]
-                if entry[4] is None:
-                    lane1.popleft()
-                    entry[3] = None
-                    if len(pool) < _POOL_LIMIT:
-                        pool.append(entry)
-                    continue
-                if dq and dq[0][0] < entry[2]:
-                    entry = None
-                    use_dq = True
-                    epri = 1
-                    eseq = dq[0][0]
-                else:
-                    lane = lane1
-                    epri = 1
-                    eseq = entry[2]
-            elif dq:
-                use_dq = True
-                epri = 1
-                eseq = dq[0][0]
-            elif lane2:
-                entry = lane2[0]
-                if entry[4] is None:
-                    lane2.popleft()
-                    entry[3] = None
-                    if len(pool) < _POOL_LIMIT:
-                        pool.append(entry)
-                    continue
-                lane = lane2
-                epri = 2
-                eseq = entry[2]
             key = store.head
-            if key is not None:
-                if entry is None and not use_dq:
-                    # Nothing same-time pending: the store decides.
-                    when = key[0]
-                    if until is not None and when > until:
-                        break
-                    fn, args = store.pop_live()
-                    if fn is None:
-                        continue
-                    if when < now:
-                        raise SimError(
-                            "time went backwards: {} < {}".format(when, now)
-                        )
-                    self.now = now = when
-                    fn(*args)
+            if dq:
+                if key is None or key[0] > now or key[1] > dq[0][0]:
+                    _seq, fn, arg = dq.popleft()
+                    fn(arg)
+                    if once:
+                        return True
                     continue
-                when = key[0]
-                if when <= now and (key[1], key[2]) < (epri, eseq):
-                    fn, args = store.pop_live()
-                    if fn is None:
-                        continue
-                    if when < now:
-                        raise SimError(
-                            "time went backwards: {} < {}".format(when, now)
-                        )
-                    self.now = when
-                    fn(*args)
-                    continue
-            elif entry is None and not use_dq:
-                break
-            if use_dq:
-                item = dq.popleft()
-                item[1](item[2])
-                continue
-            lane.popleft()
-            fn = entry[4]
-            args = entry[3]
-            entry[3] = entry[4] = None
-            if len(pool) < _POOL_LIMIT:
-                pool.append(entry)
+            elif key is None or (until is not None and key[0] > until):
+                return False
+            when, _seq, fn, args = store.pop()
+            if when < now:
+                raise SimError("time went backwards: {} < {}".format(when, now))
+            self.now = now = when
             fn(*args)
+            if once:
+                return True
 
     def run_until_triggered(self, waitable, limit=None):
         """Run until ``waitable`` triggers; returns its value (or raises).
@@ -950,19 +555,11 @@ class Simulator:
         """Engine counters for the metrics registry (``sysprof.sim``).
 
         ``store_*`` keys fold in the calendar queue's own counters (size,
-        lazy purges, overflow spills and window migrations).
+        overflow spills and window migrations).
         """
-        lanes = self._lanes
         out = {
             "events_scheduled": self._seqn,
             "delivery_depth": len(self._dq),
-            "lane_depth_interrupt": len(lanes[0]),
-            "lane_depth_normal": len(lanes[1]),
-            "lane_depth_low": len(lanes[2]),
-            "pool_size": len(self._pool),
-            "pool_hits": self._pool_hits,
-            "pool_misses": self._pool_misses,
-            "handle_cancels": self._cancels,
         }
         for key, value in self._store.stats().items():
             out["store_" + key] = value

@@ -1,11 +1,11 @@
-"""Calendar-queue event store: window mechanics and slot recycling.
+"""Calendar-queue event store: window mechanics and the stats shape.
 
-The calendar queue is the engine's only future-event store; its dispatch
+The calendar queue holds every timed and zero-delay entry; its dispatch
 order is pinned against stored golden digests by
 ``test_dispatch_order_matches_golden``.  These tests pin the remaining
 load-bearing claims: overflow spills migrate without ever splitting a
-tick, and the recycled slot columns can never be corrupted by a stale
-handle.
+tick, and a zero-delay push lands in the active bucket in seq order even
+while that bucket holds a later tick.
 """
 
 import random
@@ -50,77 +50,24 @@ def test_same_tick_entries_never_split_across_window_jump():
     assert fired == ["now", "a", "b", "c"]
 
 
-def test_calendar_slot_columns_grow_and_recycle():
-    store = CalendarQueue()
-    sim = Simulator()
-    sim._store = store
-    initial = len(store._fns)
-    handles = [
-        sim.schedule(1.0 + i * 1e-4, lambda: None) for i in range(initial * 2)
-    ]
-    assert len(store._fns) >= initial * 2
-    assert store.size == len(handles)
-    sim.run()
-    assert store.size == 0
-    assert len(store._free) == len(store._fns)  # every slot came back
-
-
-def test_cancelled_calendar_entries_purged_lazily():
-    sim = Simulator()
-    handles = [sim.schedule(10.0 + i, lambda: None) for i in range(300)]
-    fired = []
-    sim.schedule(500.0, fired.append, "live")
-    for handle in handles[:250]:
-        handle.cancel()
-        assert handle.cancelled
-    stats = sim.stats()
-    assert stats["store_purges"] >= 1
-    assert stats["store_size"] <= 300 - 150
-    sim.run()
-    assert fired == ["live"]
-
-
-def test_stale_slot_handle_cannot_cancel_recycled_slot():
-    """Regression companion to the pooled-entry guard: once a calendar
-    slot is freed and re-used, the old handle's generation mismatches."""
-    sim = Simulator()
-    fired = []
-    stale = sim.schedule(1.0, fired.append, "first")
-    sim.run()
-    assert fired == ["first"]
-    fresh = sim.schedule(1.0, fired.append, "second")
-    # The freed slot is recycled for the new entry.
-    assert fresh._slot == stale._slot
-    stale.cancel()  # generation mismatch: must be a no-op
-    assert not stale.cancelled
-    sim.run()
-    assert fired == ["first", "second"]
-
-
-def test_cancel_after_dispatch_is_noop():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
-    sim.run()
-    handle.cancel()
-    assert not handle.cancelled
-    assert fired == ["x"]
-
-
-def test_zero_delay_custom_priority_enters_store_in_order():
-    """schedule(0, priority=outside the lane bands) routes to the store at
-    the *current* tick — the tick <= active_tick push path."""
+def test_zero_delay_push_enters_active_bucket_in_seq_order():
+    """A zero-delay push while the active bucket holds a later tick takes
+    the ``tick <= active_tick`` path and still runs first, in seq order."""
     sim = Simulator()
     order = []
 
     def outer():
-        sim.schedule(0.0, order.append, "late", priority=7)
-        sim.call_soon(order.append, "lane")
-        sim.schedule(0.0, order.append, "late2", priority=7)
+        store = sim._store
+        # Only the 5.0 timer is left, so its later tick is the active one.
+        assert store._active_tick > int(sim.now * store._inv_width)
+        sim.call_soon(order.append, "soon")
+        sim.schedule(0.0, order.append, "zero")
+        sim.call_soon(order.append, "soon2")
 
     sim.schedule(2.0, outer)
+    sim.schedule(5.0, order.append, "later")
     sim.run()
-    assert order == ["lane", "late", "late2"]
+    assert order == ["soon", "zero", "soon2", "later"]
 
 
 def test_invalid_calendar_parameters_rejected():
@@ -134,13 +81,16 @@ def test_simulator_stats_shape():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.call_soon(lambda: None)
+    sim._soon1(lambda _arg: None, None)
     stats = sim.stats()
-    assert stats["events_scheduled"] == 2
-    assert stats["lane_depth_normal"] == 1
-    assert stats["store_size"] == 1
+    assert set(stats) == {
+        "events_scheduled", "delivery_depth", "store_size", "store_buckets",
+        "store_overflow", "store_spills", "store_pulls", "store_advances",
+    }
+    assert stats["events_scheduled"] == 3
+    assert stats["delivery_depth"] == 1
+    assert stats["store_size"] == 2
     sim.run()
     stats = sim.stats()
     assert stats["store_size"] == 0
-    assert stats["lane_depth_normal"] == 0
-    for key in ("pool_hits", "pool_misses", "store_spills", "store_purges"):
-        assert key in stats
+    assert stats["delivery_depth"] == 0
