@@ -67,6 +67,11 @@ class ServiceServer:
     def stop(self):
         self.running = False
         try:
+            # On Linux, close() alone does not wake a blocked accept().
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
@@ -141,10 +146,11 @@ class _Connection:
             return
         if isinstance(request, dict) and request.get("op") == "subscribe":
             # Socket subscribers stream: wire this connection up as the
-            # push callback so boundary flushes write straight to us.
-            params = dict(request.get("params") or {})
-            params["_push"] = self.push
-            request = dict(request, params=params)
+            # push callback so boundary flushes write straight to us.  The
+            # supervisor answers params that are not an object.
+            params = request.get("params") or {}
+            if isinstance(params, dict):
+                request = dict(request, params=dict(params, _push=self.push))
         self.server.requests += 1
         response = self.server.supervisor.submit(request)
         self.send(response)

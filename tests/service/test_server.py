@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -53,6 +54,38 @@ def test_invalid_json_line_gets_an_error_response(served):
         assert "invalid JSON" in response["error"]
     finally:
         raw.close()
+
+
+def test_subscribe_with_non_object_params_gets_an_error_response(served):
+    """A malformed subscribe is answered like any other op, and the
+    connection keeps serving."""
+    _supervisor, server = served
+    raw = socket.create_connection((server.host, server.port), timeout=10)
+    try:
+        lines = raw.makefile("r")
+        for request_id, params in enumerate(([1, 2], "ab"), start=1):
+            raw.sendall((encode({
+                "v": 1, "id": request_id, "op": "subscribe", "params": params,
+            }) + "\n").encode())
+            response = json.loads(lines.readline())
+            assert response["id"] == request_id
+            assert response["ok"] is False
+            assert "params must be an object" in response["error"]
+        raw.sendall((encode({"v": 1, "id": 3, "op": "ping"}) + "\n").encode())
+        response = json.loads(lines.readline())
+        assert response["id"] == 3 and response["ok"] is True
+    finally:
+        raw.close()
+
+
+def test_stop_ends_the_accept_thread_at_once():
+    """On Linux, closing a listener does not wake a blocked accept()."""
+    server = ServiceServer(supervisor=None).start()
+    time.sleep(0.1)  # let the accept thread block
+    started = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - started < 1.0
+    assert not server._thread.is_alive()
 
 
 def test_encode_is_compact_single_line(served):
