@@ -2,10 +2,11 @@
 
 Unlike the figure benchmarks, this one measures the *simulator itself* —
 the event loop and the monitoring hub every experiment routes millions
-of events through.  The engine has one configuration (same-time lanes
-over the calendar-queue store), so this records its rate on the
-callback-delivery workload that dominates real runs; earlier trajectory
-entries also hold the since-deleted heap-store baseline for comparison.
+of events through.  The engine has one configuration (a delivery lane
+beside the calendar-queue store, drained by one loop), so this records
+its rate on the callback-delivery workload that dominates real runs;
+earlier trajectory entries also hold the since-deleted heap-store
+baseline for comparison.
 
 Results append to the ``trajectory`` list in ``BENCH_engine.json`` at
 the repo root so later PRs extend the perf history instead of erasing

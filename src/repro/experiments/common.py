@@ -17,7 +17,7 @@ def trace_digest(records):
     Records are JSON-serialized with sorted keys (floats keep full
     ``repr`` precision), so two traces hash equal iff they are
     byte-identical — the currency of the determinism tests, which compare
-    fast-lane on/off and serial vs ``--jobs N`` runs.
+    same-seed runs, serial vs ``--jobs N`` runs, and stored digests.
 
     ``interaction_id`` comes from a process-global counter (unique across
     every cluster in the process), so repeated runs shift it by a

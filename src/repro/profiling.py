@@ -49,7 +49,7 @@ PACKAGES = (
 
 def _scenario_microbench(smoke):
     """Pure engine churn: the waitable callback chain from the engine
-    benchmark plus standing timers — exercises lanes, pool, and the
+    benchmark plus standing timers — exercises the delivery lane and the
     calendar store."""
     from repro.sim.engine import Simulator, Waitable
 
