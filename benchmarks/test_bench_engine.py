@@ -3,10 +3,10 @@
 Unlike the figure benchmarks, this one measures the *simulator itself* —
 the event loop and the monitoring hub every experiment routes millions
 of events through.  The engine has one configuration (a delivery lane
-beside the calendar-queue store, drained by one loop), so this records
-its rate on the callback-delivery workload that dominates real runs;
-earlier trajectory entries also hold the since-deleted heap-store
-baseline for comparison.
+beside a binary heap of timers, drained by one loop), so this records
+its rate on the callback-delivery workload that dominates real runs.
+Earlier trajectory entries come from engines with a calendar-queue
+store, and some also hold a since-deleted lane-free heap baseline.
 
 Results append to the ``trajectory`` list in ``BENCH_engine.json`` at
 the repo root so later PRs extend the perf history instead of erasing

@@ -42,7 +42,7 @@ _GAUGE_FIELDS = frozenset((
     # standby/root, 0 when back on its primary parent
     "failed_over",
     # simulator engine levels (sysprof.sim.*)
-    "delivery_depth", "store_size", "store_buckets", "store_overflow",
+    "delivery_depth", "store_size",
 ))
 
 

@@ -50,7 +50,7 @@ PACKAGES = (
 def _scenario_microbench(smoke):
     """Pure engine churn: the waitable callback chain from the engine
     benchmark plus standing timers — exercises the delivery lane and the
-    calendar store."""
+    timer heap."""
     from repro.sim.engine import Simulator, Waitable
 
     n_events = 20_000 if smoke else 300_000

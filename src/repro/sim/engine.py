@@ -16,8 +16,8 @@ simulation.
 
 Pending work lives in two structures (``docs/performance.md``):
 
-* the :class:`CalendarQueue` of ``(time, seq, fn, args)`` keys, fed by
-  ``schedule()``, ``call_soon()`` and ``_at()``;
+* the *timer heap*, a plain :mod:`heapq` list of ``(time, seq, fn,
+  args)`` keys fed by ``schedule()``, ``call_soon()`` and ``_at()``;
 * the *delivery lane*, a FIFO of ``(seq, fn, arg)`` tuples fed by
   ``_soon1()`` for Waitable callback delivery — the single hottest path
   in the tree.
@@ -25,173 +25,20 @@ Pending work lives in two structures (``docs/performance.md``):
 One loop, :meth:`Simulator._drain`, serves both ``run()`` and ``step()``
 and always dispatches the global ``(time, seq)`` minimum.  A delivery is
 due at the ``now`` it was queued at, and the clock cannot advance past
-it: the lane head is a smaller key than any later-time calendar entry.
-Since ``seq`` only grows, the lane is sorted by construction.
+it: the lane head is a smaller key than any later-time heap entry.
+Since ``seq`` only grows, the lane is sorted by construction.  ``seq``
+is unique, so comparing two heap keys never reaches ``fn``.  A NaN time
+would compare false both ways and silently misorder the heap, so every
+entry point that takes a delay or a horizon refuses NaN.
 
 Its oracle is stored data: the dispatch orderings and same-seed trace
 digests in ``tests/fixtures/golden_digests.json``.
 """
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from collections import deque
 
 from repro.sim.errors import SimError, StaleWaitable
-
-#: Calendar-queue bucket width in simulated seconds.  Costs in the OS
-#: model are microsecond-scale and timers millisecond-scale, so a 1 ms
-#: tick keeps the active bucket small without scattering one workload
-#: phase over thousands of buckets.
-DEFAULT_CALENDAR_WIDTH = 1e-3
-
-#: Number of ticks covered by the calendar window before entries spill
-#: into the overflow heap.
-DEFAULT_CALENDAR_BUCKETS = 4096
-
-
-class CalendarQueue:
-    """Calendar-queue event store of ``(time, seq, fn, args)`` keys.
-
-    ``seq`` is unique, so comparing two keys never reaches ``fn``.
-    Ordering is three-level:
-
-    * the *active* bucket — a tiny binary heap holding the earliest tick
-      (and any push at or before it, such as a zero-delay one);
-    * future ticks inside the window — unsorted per-tick lists reached
-      through a heap of tick ids, heapified only on activation;
-    * everything at or beyond the window horizon — an overflow heap,
-      migrated into fresh buckets when the window jumps forward.
-
-    The horizon only moves when the windowed ticks drain, so a tick's
-    entries can never be split between a bucket and the overflow heap —
-    that is the invariant that keeps the pop order identical to a single
-    binary heap's.
-    """
-
-    __slots__ = (
-        "width",
-        "nbuckets",
-        "_inv_width",
-        "_buckets",
-        "_tick_heap",
-        "_overflow",
-        "_active",
-        "_active_tick",
-        "_horizon",
-        "head",
-        "size",
-        "spills",
-        "pulls",
-        "advances",
-    )
-
-    def __init__(self, width=None, nbuckets=None):
-        self.width = DEFAULT_CALENDAR_WIDTH if width is None else width
-        if self.width <= 0:
-            raise SimError("calendar width must be positive: {}".format(width))
-        self.nbuckets = int(DEFAULT_CALENDAR_BUCKETS if nbuckets is None else nbuckets)
-        if self.nbuckets < 1:
-            raise SimError("calendar needs at least one bucket")
-        self._inv_width = 1.0 / self.width
-        self._buckets = {}
-        self._tick_heap = []
-        self._overflow = []
-        self._active = []
-        self._active_tick = None
-        self._horizon = 0
-        self.head = None
-        self.size = 0
-        self.spills = 0
-        self.pulls = 0
-        self.advances = 0
-
-    def push(self, when, seq, fn, args):
-        """Insert ``fn(*args)`` at key ``(when, seq)``."""
-        key = (when, seq, fn, args)
-        tick = int(when * self._inv_width)
-        active_tick = self._active_tick
-        if active_tick is None:
-            # Store was empty: activate this tick directly and re-anchor
-            # the window (the old horizon is meaningless once drained).
-            self._active.append(key)
-            self._active_tick = tick
-            self._horizon = tick + self.nbuckets
-            self.head = key
-        elif tick <= active_tick:
-            # Same (or earlier — a zero-delay push while the active bucket
-            # holds a later tick) tick as the active bucket: the active
-            # heap is the only structure that keeps exact order.
-            heappush(self._active, key)
-            self.head = self._active[0]
-        elif tick < self._horizon:
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = [key]
-                heappush(self._tick_heap, tick)
-            else:
-                bucket.append(key)
-        else:
-            heappush(self._overflow, key)
-            self.spills += 1
-        self.size += 1
-
-    def pop(self):
-        """Remove and return the head key."""
-        key = heappop(self._active)
-        self.size -= 1
-        if self._active:
-            self.head = self._active[0]
-        else:
-            self._advance()
-        return key
-
-    def _advance(self):
-        """Activate the next non-empty tick (migrating overflow if needed)."""
-        tick_heap = self._tick_heap
-        buckets = self._buckets
-        while True:
-            if tick_heap:
-                tick = heappop(tick_heap)
-                bucket = buckets.pop(tick)
-                heapify(bucket)
-                self._active = bucket
-                self._active_tick = tick
-                self.head = bucket[0]
-                self.advances += 1
-                return
-            overflow = self._overflow
-            if not overflow:
-                self._active = []
-                self._active_tick = None
-                self.head = None
-                return
-            # The windowed ticks drained: jump the window to the earliest
-            # overflow tick and migrate everything now inside it.  Doing
-            # this only when the window is empty guarantees a tick is
-            # never split between a bucket and the overflow heap.
-            inv_width = self._inv_width
-            horizon = int(overflow[0][0] * inv_width) + self.nbuckets
-            self._horizon = horizon
-            while overflow and int(overflow[0][0] * inv_width) < horizon:
-                key = heappop(overflow)
-                tick = int(key[0] * inv_width)
-                bucket = buckets.get(tick)
-                if bucket is None:
-                    buckets[tick] = [key]
-                    heappush(tick_heap, tick)
-                else:
-                    bucket.append(key)
-                self.pulls += 1
-
-    def stats(self):
-        """Store counters, folded into :meth:`Simulator.stats`."""
-        return {
-            "size": self.size,
-            "buckets": len(self._buckets),
-            "overflow": len(self._overflow),
-            "spills": self.spills,
-            "pulls": self.pulls,
-            "advances": self.advances,
-        }
 
 
 class Waitable:
@@ -320,8 +167,8 @@ class Timeout(Waitable):
     __slots__ = ("delay",)
 
     def __init__(self, sim, delay, value=None):
-        if delay < 0:
-            raise SimError("negative timeout delay: {}".format(delay))
+        if not delay >= 0:
+            raise SimError("negative or NaN timeout delay: {}".format(delay))
         super().__init__(sim)
         self.delay = delay
         sim._at(delay, self.succeed, value)
@@ -376,7 +223,7 @@ class AllOf(Waitable):
 
 
 class Simulator:
-    """The event loop: a calendar queue for timed events plus the delivery
+    """The event loop: a binary heap of timed events plus the delivery
     lane, drained in global ``(time, seq)`` order.
 
     >>> sim = Simulator()
@@ -392,7 +239,7 @@ class Simulator:
         self._dq = deque()
         self._seqn = 0
         self._running = False
-        self._store = CalendarQueue()
+        self._heap = []
 
     # ------------------------------------------------------------------
     # scheduling primitives
@@ -400,11 +247,13 @@ class Simulator:
 
     def schedule(self, delay, fn, *args):
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimError("cannot schedule into the past (delay={})".format(delay))
+        if not delay >= 0:
+            raise SimError(
+                "cannot schedule into the past or at NaN (delay={})".format(delay)
+            )
         seq = self._seqn + 1
         self._seqn = seq
-        self._store.push(self.now + delay, seq, fn, args)
+        heappush(self._heap, (self.now + delay, seq, fn, args))
 
     def schedule_at(self, when, fn, *args):
         """Run ``fn(*args)`` at absolute simulated time ``when``.
@@ -426,7 +275,7 @@ class Simulator:
         """Single-argument :meth:`call_soon` on the delivery lane (hot path).
 
         Appends an immutable ``(seq, fn, arg)`` tuple; it runs at the
-        current time, merged with same-time calendar entries by ``seq``.
+        current time, merged with same-time heap entries by ``seq``.
         """
         seq = self._seqn + 1
         self._seqn = seq
@@ -442,7 +291,7 @@ class Simulator:
         """
         seq = self._seqn + 1
         self._seqn = seq
-        self._store.push(self.now + delay, seq, fn, (arg,))
+        heappush(self._heap, (self.now + delay, seq, fn, (arg,)))
 
     # ------------------------------------------------------------------
     # waitable factories
@@ -483,19 +332,19 @@ class Simulator:
 
         When ``until`` is given the clock is advanced exactly to it even if
         the queues drained earlier, so back-to-back ``run(until=...)`` calls
-        observe a monotonically advancing clock.
+        observe a monotonically advancing clock.  An ``until`` in the past
+        or NaN is refused before anything runs.
         """
         if self._running:
             raise SimError("simulator is already running (re-entrant run())")
+        if until is not None and not until >= self.now:
+            raise SimError(
+                "run(until={}) is in the past or NaN (now={})".format(until, self.now)
+            )
         self._running = True
         try:
-            if until is None or until >= self.now:
-                self._drain(until, False)
+            self._drain(until, False)
             if until is not None:
-                if until < self.now:
-                    raise SimError(
-                        "run(until={}) is in the past (now={})".format(until, self.now)
-                    )
                 self.now = until
         finally:
             self._running = False
@@ -504,17 +353,17 @@ class Simulator:
         """The one dispatch loop — the hottest region in the tree.
 
         Each pass dispatches the global ``(time, seq)`` minimum: the
-        delivery lane's head unless the calendar head is a smaller key.
+        delivery lane's head unless the heap's head is a smaller key.
         Deliveries are at ``now`` and never move the clock, so only a
-        calendar dispatch checks ``until``; the entry guard in :meth:`run`
+        heap dispatch checks ``until``; the entry guard in :meth:`run`
         therefore keeps every dispatch ``<= until``.  Returns True after
         one dispatch when ``once`` is set, and False once nothing is due.
         """
         dq = self._dq
-        store = self._store
+        heap = self._heap
         now = self.now
         while True:
-            key = store.head
+            key = heap[0] if heap else None
             if dq:
                 if key is None or key[0] > now or key[1] > dq[0][0]:
                     _seq, fn, arg = dq.popleft()
@@ -524,7 +373,7 @@ class Simulator:
                     continue
             elif key is None or (until is not None and key[0] > until):
                 return False
-            when, _seq, fn, args = store.pop()
+            when, _seq, fn, args = heappop(heap)
             if when < now:
                 raise SimError("time went backwards: {} < {}".format(when, now))
             self.now = now = when
@@ -552,15 +401,11 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def stats(self):
-        """Engine counters for the metrics registry (``sysprof.sim``).
-
-        ``store_*`` keys fold in the calendar queue's own counters (size,
-        overflow spills and window migrations).
-        """
-        out = {
+        """Engine counters for the metrics registry (``sysprof.sim``):
+        events scheduled so far, and the delivery lane's and the timer
+        heap's current depths."""
+        return {
             "events_scheduled": self._seqn,
             "delivery_depth": len(self._dq),
+            "store_size": len(self._heap),
         }
-        for key, value in self._store.stats().items():
-            out["store_" + key] = value
-        return out

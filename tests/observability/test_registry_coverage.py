@@ -13,7 +13,7 @@ import importlib
 import inspect
 import pkgutil
 
-from repro.core import SysProf, SysProfConfig
+from repro.core import SysProfConfig
 from repro.faults import FaultInjector
 from repro.observability import DiagnosisEngine
 from tests.core.helpers import build_monitored_pair
@@ -47,7 +47,6 @@ INDIRECT = {
     "DoubleBuffer",    # lpa.stats() nests buffer counters
     "FrameDecoder",    # gpa.stats() folds frames/records/filter counters
     "SketchStore",     # gpa.stats() exposes sketch_rows / sketch_series
-    "CalendarQueue",   # Simulator.stats() folds store_* counters
     "ChannelPublisher",  # daemon.stats() / zone_gpa.stats() flatten its counters
     "ParentLink",      # publisher.stats() nests it under "parent_link"
 }

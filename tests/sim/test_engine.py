@@ -34,6 +34,19 @@ def test_negative_delay_rejected(sim):
         sim.schedule(-1.0, lambda: None)
 
 
+def test_nan_delay_rejected(sim):
+    """A NaN key would compare false both ways and misorder the heap."""
+    with pytest.raises(SimError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.stats()["store_size"] == 0
+
+
+def test_nan_timeout_rejected(sim):
+    with pytest.raises(SimError):
+        sim.timeout(float("nan"))
+    assert sim.stats()["store_size"] == 0
+
+
 def test_run_until_stops_clock_exactly(sim):
     sim.schedule(10.0, lambda: None)
     sim.run(until=4.0)
@@ -54,6 +67,16 @@ def test_run_until_in_past_rejected(sim):
     sim.run()
     with pytest.raises(SimError):
         sim.run(until=0.5)
+
+
+def test_run_until_nan_rejected(sim):
+    fired = []
+    sim.schedule(1.0, fired.append, "timer")
+    with pytest.raises(SimError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0 and fired == []
+    sim.run()
+    assert fired == ["timer"]
 
 
 def test_step_processes_single_event(sim):

@@ -1,12 +1,12 @@
 """Dispatch order: the golden orderings, one loop for every entry point,
-the same-time merge of calendar and delivery lane, and the clamp.
+the same-time merge of timer heap and delivery lane, and the clamp.
 
 The dispatch order of seeded scripts of timers, zero-delay calls,
 same-time chains and waitable fan-in (no priorities, no cancels) is
 pinned against stored digests (``tests/fixtures/golden_digests.json``).
 A property test drains random scripts through ``run()``, ``step()`` and
 sliced ``run(until=...)`` and asserts one order.  The remaining tests
-cover the ``(time, seq)`` merge of same-time calendar entries with the
+cover the ``(time, seq)`` merge of same-time heap entries with the
 delivery lane, and the ``schedule_at`` float-drift clamp.
 """
 
@@ -178,7 +178,7 @@ def test_run_step_and_sliced_run_dispatch_identically(script, cuts):
 
 
 def test_call_soon_interleaves_with_heap_entries_by_seq(sim):
-    """Same-time calendar entries (a timer, ``call_soon``, a zero-delay
+    """Same-time heap entries (a timer, ``call_soon``, a zero-delay
     ``schedule``) and delivery-lane entries run in seq order."""
     order = []
 
@@ -212,13 +212,13 @@ def test_step_drains_lanes_and_heap_in_order(sim):
 
 
 def test_waitable_deliveries_use_tuple_lane(sim):
-    """Waitable callback deliveries ride the delivery lane, not the calendar."""
+    """Waitable callback deliveries ride the delivery lane, not the heap."""
     done = []
     waitable = Waitable(sim)
     waitable.add_callback(lambda w: done.append(w))
     waitable.succeed()
     assert len(sim._dq) == 1
-    assert sim._store.size == 0
+    assert sim.stats()["store_size"] == 0
     sim.run()
     assert done == [waitable]
     assert not sim._dq
