@@ -7,11 +7,16 @@ from repro.sim.resources import Store
 class Nic:
     """A NIC attached to one node.
 
-    TX side: the kernel enqueues packets onto the ring; a pump process
-    serializes them onto the attached port at line rate.  A bounded ring
-    models device queueing — when it is full the kernel-side enqueue
-    blocks (the waitable returned by :meth:`enqueue` completes on space),
-    which is how transmit backpressure reaches the socket layer.
+    TX side: the kernel enqueues packets onto the ring; a pump serializes
+    them onto the attached port at line rate.  A bounded ring models
+    device queueing — when it is full the kernel-side enqueue blocks (the
+    waitable returned by :meth:`enqueue` completes on space), which is
+    how transmit backpressure reaches the socket layer.
+
+    The pump is a callback state machine with the same engine hops as the
+    generator process it replaced (``docs/performance.md``): a start hop,
+    a delivery hop for each packet it takes off the ring, and one when
+    the port has sent it.
 
     RX side: the fabric calls :meth:`receive`; the NIC hands the packet to
     the kernel's registered ``rx_handler`` (interrupt context).
@@ -27,7 +32,7 @@ class Nic:
         self.tx_packets = 0
         self.rx_packets = 0
         self.rx_dropped = 0
-        sim.process(self._pump(), name="{}-tx".format(self.name))
+        sim._soon1(self._pull, None)  # start hop
 
     def attach(self, port):
         """Connect the NIC's TX side to a fabric/switch port (a Link)."""
@@ -55,10 +60,18 @@ class Nic:
             return
         self.rx_handler(packet)
 
-    def _pump(self):
-        while True:
-            packet = yield self._ring.get()
-            if self._port is None:
-                raise SimError("NIC {} transmitting while unattached".format(self.name))
-            self.tx_packets += 1
-            yield self._port.transmit_blocking(packet)
+    def _pull(self, _arg):
+        """The pump is free: take the next packet off the ring.
+
+        ``Store.get`` admits blocked putters before the callback is added,
+        so they get their engine seqs first, and a ready packet still
+        takes its delivery hop.
+        """
+        self._ring.get().add_callback(self._send)
+
+    def _send(self, got):
+        """Hand the taken packet to the port; pull again once it is sent."""
+        if self._port is None:
+            raise SimError("NIC {} transmitting while unattached".format(self.name))
+        self.tx_packets += 1
+        self._port.transmit_blocking(got.value).add_callback(self._pull)
