@@ -31,7 +31,7 @@ class Subscription:
         self.predicate = predicate
         # Predicates built by the helpers below only read event *fields*
         # (via .get/[]/in, which plain dicts also support) and advertise
-        # that with ``fields_only``.  fire() can then evaluate them on the
+        # that with ``fields_only``.  emit() can then evaluate them on the
         # raw payload dict before paying for a MonEvent + clock read.
         self.fields_pred = (
             predicate if getattr(predicate, "fields_only", False) else None
@@ -51,7 +51,7 @@ class Kprof(Tracepoints):
         self.costs = monitor_costs or kernel.costs
         self._subs = {}  # etype -> [Subscription]
         # Copy-on-write view of _subs: etype -> tuple(Subscription), only
-        # for un-masked types.  fire() iterates these immutable snapshots,
+        # for un-masked types.  emit() iterates these immutable snapshots,
         # so subscribe/unsubscribe during delivery never mutates a list
         # mid-iteration and the per-fire list() copy is gone.
         self._snap = {}
@@ -196,14 +196,24 @@ class Kprof(Tracepoints):
         )
 
     def fire(self, etype, sim_ts=None, **fields):
-        """Deliver one tracepoint hit to the current subscribers.
+        """Keyword form of :meth:`emit`, for cold probe sites and tests."""
+        self.emit(etype, sim_ts, fields)
+
+    def emit(self, etype, sim_ts, fields):
+        """Deliver one tracepoint hit with payload ``fields`` to the
+        current subscribers.
+
+        ``fields`` is delivered as is, not copied: every event a site
+        emits from one payload (the layers of one packet) shares that
+        dict as its ``fields``.  Subscribers and predicates only read it.
 
         Accounting is per (event, subscription) attempt: every attempt is
         either *delivered* or *suppressed* by a predicate, and
         ``events_fired`` counts attempts so ``fired == delivered +
         suppressed`` always holds (checked in :meth:`stats`).
         """
-        if etype not in self._enabled:
+        snap = self._snap.get(etype)
+        if snap is None:
             return
         # ``event`` is built lazily: if every subscription rejects via a
         # fields-only predicate, neither the MonEvent nor the clock read
@@ -211,7 +221,6 @@ class Kprof(Tracepoints):
         event = None
         delivered = 0
         suppressed = 0
-        snap = self._snap[etype]
         for sub in snap:
             predicate = sub.predicate
             if predicate is not None:
@@ -269,7 +278,7 @@ class Kprof(Tracepoints):
 #
 # All of them read only event *fields* through .get/[]/in, so they work
 # on a raw payload dict as well as a MonEvent; ``fields_only = True``
-# advertises that and lets Kprof.fire() reject events before building a
+# advertises that and lets Kprof.emit() reject events before building a
 # MonEvent at all.  Hand-written predicates that touch .ts/.node/.etype
 # must NOT set the flag.
 # ----------------------------------------------------------------------
@@ -291,11 +300,11 @@ def exclude_port_range(low, high):
     dissemination traffic)."""
 
     def check(event):
-        for key in ("src_port", "dst_port"):
-            port = event.get(key)
-            if port is not None and low <= port <= high:
-                return False
-        return True
+        port = event.get("src_port")
+        if port is not None and low <= port <= high:
+            return False
+        port = event.get("dst_port")
+        return port is None or not low <= port <= high
 
     check.fields_only = True
     return check

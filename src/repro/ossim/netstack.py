@@ -107,14 +107,16 @@ class NetStack:
         costs = self.costs
         base = costs.net_tx_sock + costs.net_tx_ip + costs.net_tx_driver
         span = end - start
+        # One payload for every layer's event of this packet.
         fields = self._packet_fields(packet)
         fields["sock_pid"] = sock.owner_pid or 0
         # Backfill layer boundaries proportionally across the segment.
         t_sock = start + span * (costs.net_tx_sock / base) if base else end
         t_ip = start + span * ((costs.net_tx_sock + costs.net_tx_ip) / base) if base else end
+        emit = tracepoints.emit
         for etype, sim_ts in zip(_TX_EVENTS, (t_sock, t_ip, end)):
             if etype in enabled:
-                tracepoints.fire(etype, sim_ts=sim_ts, **fields)
+                emit(etype, sim_ts, fields)
 
     # ------------------------------------------------------------------
     # receive path (interrupt context)
@@ -169,17 +171,20 @@ class NetStack:
             fields["rx_queue_depth"] = sock.rx_queue_depth
         t_driver = start + span * (costs.net_rx_driver / base) if base else end
         t_ip = start + span * ((costs.net_rx_driver + costs.net_rx_ip) / base) if base else end
+        emit = tracepoints.emit
         for etype, sim_ts in zip(_RX_EVENTS, (t_driver, t_ip, end, end)):
             if etype in enabled:
-                tracepoints.fire(etype, sim_ts=sim_ts, **fields)
+                emit(etype, sim_ts, fields)
 
     @staticmethod
     def _packet_fields(packet):
+        src = packet.src
+        dst = packet.dst
         fields = {
-            "src_ip": packet.src.ip,
-            "src_port": packet.src.port,
-            "dst_ip": packet.dst.ip,
-            "dst_port": packet.dst.port,
+            "src_ip": src[0],
+            "src_port": src[1],
+            "dst_ip": dst[0],
+            "dst_port": dst[1],
             "size": packet.size,
             "frames": packet.frames,
             "seq": packet.seq,

@@ -101,6 +101,6 @@ class Selector:
         }
         if message.meta is not None and message.meta.get("arm_id") is not None:
             deliver_fields["arm_id"] = message.meta["arm_id"]
-        tracepoints.fire(tp.SOCK_DELIVER, **deliver_fields)
+        tracepoints.emit(tp.SOCK_DELIVER, None, deliver_fields)
         yield from ctx._sys_exit("recv")
         return message

@@ -194,7 +194,7 @@ class TaskContext:
         }
         if message.meta is not None and message.meta.get("arm_id") is not None:
             deliver_fields["arm_id"] = message.meta["arm_id"]
-        tracepoints.fire(tp.SOCK_DELIVER, **deliver_fields)
+        tracepoints.emit(tp.SOCK_DELIVER, None, deliver_fields)
         yield from self._sys_exit("recv")
         return message
 

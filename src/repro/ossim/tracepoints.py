@@ -13,7 +13,8 @@ CPU overhead of the enabled probes (and their subscribed analyzer
 callbacks), that overhead's probe/analyzer split for the attribution
 ledger, and which of the types are enabled.  The path charges the
 overhead to the simulated CPU as part of its own work, then calls
-:meth:`Tracepoints.fire` for the enabled types.  This is what makes
+:meth:`Tracepoints.emit` (or its keyword form :meth:`Tracepoints.fire`)
+for the enabled types.  This is what makes
 monitoring perturbation an emergent property of the simulation rather
 than a constant typed into the results.
 """
@@ -109,9 +110,14 @@ class Tracepoints:
         """
         return _OFF_SITE
 
-    def fire(self, etype, ts=None, **fields):
-        """Emit one event.  ``ts`` overrides the node-local timestamp when
-        the caller backfills precise per-layer times."""
+    def emit(self, etype, sim_ts, fields):
+        """Emit one event with payload dict ``fields``, which may be shared
+        by several events and is never copied.  ``sim_ts`` (or ``None``
+        for now) is the simulated time the event is stamped with, for
+        callers that backfill precise per-layer times."""
+
+    def fire(self, etype, sim_ts=None, **fields):
+        """Keyword form of :meth:`emit`."""
 
 
 class NullTracepoints(Tracepoints):

@@ -117,6 +117,8 @@ def test_exclude_port_range_predicate():
     assert keep(FakeEvent(src_port=80, dst_port=443))
     assert not keep(FakeEvent(src_port=9150, dst_port=80))
     assert not keep(FakeEvent(src_port=80, dst_port=9100))
+    assert keep(FakeEvent(src_port=80)) and keep(FakeEvent())
+    assert not keep(FakeEvent(dst_port=9199))
 
 
 def test_field_predicate_and_conjunction(kprof):
@@ -129,6 +131,43 @@ def test_field_predicate_and_conjunction(kprof):
     kprof.fire(tp.SYSCALL_ENTRY, pid=1, call="write")
     kprof.fire(tp.SYSCALL_ENTRY, pid=3, call="read")
     assert len(events) == 1
+
+
+def test_emit_delivers_what_fire_delivers():
+    """``emit`` with a payload dict delivers the same events and counts
+    as ``fire`` with those fields as keywords, and shares the dict."""
+
+    def monitored():
+        node = Cluster(seed=10).add_node("n1", clock=NodeClock(offset=2.0))
+        kprof = Kprof(node.kernel).attach()
+        seen = []
+        kprof.subscribe(tp.NETWORK_EVENTS, seen.append)
+        kprof.subscribe(
+            [tp.NET_RX_IP], seen.append, predicate=exclude_port_range(9100, 9199)
+        )
+        node.sim.run(until=1.0)
+        return kprof, seen
+
+    payloads = [
+        (tp.NET_RX_DRIVER, 0.5, {"src_port": 80, "dst_port": 9150, "size": 10}),
+        (tp.NET_RX_IP, 0.75, {"src_port": 80, "dst_port": 9150, "size": 10}),
+        (tp.NET_RX_IP, None, {"src_port": 80, "dst_port": 443, "size": 20}),
+        (tp.SYSCALL_ENTRY, None, {"pid": 1}),
+    ]
+    fired, fired_seen = monitored()
+    emitted, emitted_seen = monitored()
+    for etype, sim_ts, fields in payloads:
+        fired.fire(etype, sim_ts=sim_ts, **fields)
+        emitted.emit(etype, sim_ts, fields)
+
+    def rows(events):
+        return [(e.etype, e.ts, e.node, e.fields) for e in events]
+
+    assert rows(emitted_seen) == rows(fired_seen)
+    assert len(emitted_seen) == 4
+    assert emitted.stats() == fired.stats()
+    assert emitted.stats()["suppressed"] == 1
+    assert emitted_seen[0].fields is payloads[0][2]
 
 
 def test_stats_shape(kprof):
