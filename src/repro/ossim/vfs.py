@@ -1,6 +1,6 @@
 """Virtual filesystem with an LRU page cache over the block layer."""
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from repro.sim.errors import SimError
 from repro.ossim import tracepoints as tp
@@ -47,6 +47,9 @@ class Vfs:
         self._next_fd = 3
         # (path, page_index) -> dirty flag; OrderedDict gives LRU order.
         self._cache = OrderedDict()
+        # path -> set of that file's dirty page indexes, changed wherever
+        # a flag above changes, so fsync never scans the whole cache.
+        self._dirty = defaultdict(set)
         self.cache_hits = 0
         self.cache_misses = 0
         self.writeback_pages = 0
@@ -132,23 +135,27 @@ class Vfs:
         return nbytes
 
     def fsync(self, task, handle):
-        inode = handle.inode
-        dirty = sorted(
-            page for (path, page), is_dirty in self._cache.items()
-            if path == inode.path and is_dirty
-        )
+        path = handle.inode.path
+        dirty = sorted(self._dirty.get(path, ()))
         yield self._submit(task, self.costs.fs_op, tp.FS_FSYNC)
+        cache = self._cache
         for first, last in _contiguous_runs(dirty):
             count = last - first + 1
             yield self._submit(task, self.costs.blk_issue, tp.BLK_ISSUE)
             task.disk_ops += 1
             yield from self.kernel.block_wait(task, self.disk.submit(
                 "write", first * self.PAGE, count * self.PAGE))
+            # A concurrent writer may have evicted some of these pages
+            # while the disk ran: only pages still cached are marked clean.
+            pages = self._dirty[path]
             for page in range(first, last + 1):
-                self._cache[(inode.path, page)] = False
+                key = (path, page)
+                if key in cache:
+                    cache[key] = False
+                pages.discard(page)
         self.writeback_pages += len(dirty)
         self.kernel.tracepoints.fire(
-            tp.FS_FSYNC, pid=task.pid, path=inode.path, pages=len(dirty)
+            tp.FS_FSYNC, pid=task.pid, path=path, pages=len(dirty)
         )
         return len(dirty)
 
@@ -169,17 +176,22 @@ class Vfs:
 
     def _insert_page(self, path, page, dirty):
         key = (path, page)
-        if key in self._cache:
-            self._cache[key] = self._cache[key] or dirty
-            self._cache.move_to_end(key)
+        cache = self._cache
+        if dirty:
+            self._dirty[path].add(page)
+        if key in cache:
+            if dirty:
+                cache[key] = True
+            cache.move_to_end(key)
             return
-        self._cache[key] = dirty
-        if len(self._cache) > self.cache_pages:
-            old_key, was_dirty = self._cache.popitem(last=False)
+        cache[key] = dirty
+        if len(cache) > self.cache_pages:
+            (old_path, old_page), was_dirty = cache.popitem(last=False)
             if was_dirty:
+                self._dirty[old_path].discard(old_page)
                 # Asynchronous writeback; nobody waits on eviction flushes.
                 self.writeback_pages += 1
-                self.disk.submit("write", old_key[1] * self.PAGE, self.PAGE).defuse()
+                self.disk.submit("write", old_page * self.PAGE, self.PAGE).defuse()
 
     def _touch(self, path, page):
         key = (path, page)
@@ -187,7 +199,7 @@ class Vfs:
             self._cache.move_to_end(key)
 
     def cache_stats(self):
-        dirty = sum(1 for is_dirty in self._cache.values() if is_dirty)
+        dirty = sum(len(pages) for pages in self._dirty.values())
         return {
             "pages": len(self._cache),
             "dirty": dirty,

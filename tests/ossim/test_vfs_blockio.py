@@ -122,6 +122,33 @@ def test_eviction_writes_back_dirty_pages():
     assert node.kernel.disk.writes > 0
 
 
+def test_fsync_keeps_pages_evicted_while_it_waits_out_of_the_cache():
+    """A writer that evicts the fsynced file's pages while the flush is
+    on the disk must not see them come back as clean pages past the cap."""
+    cluster = Cluster(seed=6)
+    node = cluster.add_node("small", with_disk=True, cache_pages=8)
+    vfs = node.kernel.vfs
+
+    def syncer(ctx):
+        handle = yield from ctx.open("/f")
+        yield from ctx.write(handle, 8 * 4096, offset=0)
+        return (yield from ctx.fsync(handle))
+
+    def writer(ctx):
+        handle = yield from ctx.open("/g")
+        yield from ctx.sleep(1e-3)  # the flush of /f is on the disk by now
+        yield from ctx.write(handle, 8 * 4096, offset=0)
+
+    task = node.spawn("a", syncer)
+    node.spawn("b", writer)
+    cluster.run()
+    assert task.exit_value == 8
+    pages = vfs.cache_stats()["pages"]
+    assert pages <= vfs.cache_pages
+    assert not [key for key in vfs._cache if key[0] == "/f"]
+    assert vfs.cache_stats()["dirty"] == 8  # all of /g, still unflushed
+
+
 def test_file_position_advances(node):
     def worker(ctx):
         handle = yield from ctx.open("/f")
