@@ -7,7 +7,10 @@ interactions.  It can change the sizes of internal LPA buffers.  It
 provides a management interface for SysProf."
 """
 
+import math
+
 from repro.core.cpa import CustomAnalyzer
+from repro.core.lpa import GRANULARITIES
 
 
 def classify_by_kind(record):
@@ -33,6 +36,13 @@ def classify_by_client_group(groups, default="other"):
         return lookup.get(record.client[0], default)
 
     return classify
+
+
+def _check_interval(interval):
+    if not 0.0 < interval < math.inf:
+        raise ValueError(
+            "interval must be positive and finite: {!r}".format(interval)
+        )
 
 
 class Controller:
@@ -90,6 +100,8 @@ class Controller:
                 lpa.window = deque(lpa.window, maxlen=size)
 
     def set_eviction_interval(self, interval, node=None):
+        """Set how often the daemons evict their analyzers' buffers."""
+        _check_interval(interval)
         for monitor in self._monitors(node):
             monitor.daemon.eviction_interval = interval
 
@@ -100,8 +112,7 @@ class Controller:
         loop re-reads the interval before each sleep, so the change takes
         effect at its next wakeup without restarting the task.
         """
-        if interval <= 0.0:
-            raise ValueError("interval must be positive")
+        _check_interval(interval)
         federation = self.toolkit.federation
         if federation is None:
             raise ValueError("set_forward_interval needs a federated install")
@@ -123,7 +134,13 @@ class Controller:
         samples and sketch windows) and forces per-interaction records so
         blame attribution has fine-grained data.  Returns the saved
         settings for :meth:`restore`; idempotent while already drilled.
+        Arguments are checked before anything changes, so a refused
+        request leaves the node as it was.
         """
+        if not factor >= 1:
+            raise ValueError("drill-down factor must be >= 1: {!r}".format(factor))
+        if granularity not in (None,) + GRANULARITIES:
+            raise ValueError("unknown granularity {!r}".format(granularity))
         if node in self._drilled:
             return self._drilled[node]
         monitor = self.toolkit.monitors[node]
@@ -134,12 +151,12 @@ class Controller:
                 if monitor.interaction_lpa is not None else None
             ),
         }
-        self._drilled[node] = saved
         self.set_eviction_interval(
             monitor.daemon.eviction_interval / factor, node=node
         )
         if granularity is not None and monitor.interaction_lpa is not None:
             self.set_granularity(granularity, node=node)
+        self._drilled[node] = saved
         return saved
 
     def restore(self, node):

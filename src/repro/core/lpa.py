@@ -34,6 +34,9 @@ from repro.ossim.task import BAND_IRQ, BAND_KERNEL
 from repro.ossim import tracepoints as tp
 from repro.sim.stats import RunningStat
 
+#: What an interaction LPA records: each interaction, or per-class aggregates.
+GRANULARITIES = ("interaction", "class")
+
 # Format (name, fields) for per-interaction records on the wire.
 INTERACTION_FORMAT = (
     "sysprof.interaction",
@@ -387,7 +390,7 @@ class InteractionLPA(LocalPerformanceAnalyzer):
     # ------------------------------------------------------------------
 
     def set_granularity(self, granularity):
-        if granularity not in ("interaction", "class"):
+        if granularity not in GRANULARITIES:
             raise ValueError("granularity must be 'interaction' or 'class'")
         self.granularity = granularity
 

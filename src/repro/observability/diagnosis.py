@@ -197,6 +197,8 @@ class DiagnosisEngine:
 
     def remove_rule(self, name, now=None):
         """Drop one rule by its normalized text; resolves its alert."""
+        if not isinstance(name, str):
+            raise ValueError("rule must be a string: {!r}".format(name))
         name = " ".join(name.split())
         for i, rule in enumerate(self.rules):
             if rule.name == name:

@@ -61,6 +61,8 @@ class SloRule:
 
     def __init__(self, text, fire_after=2, clear_after=2, clear_factor=0.9,
                  lookback=None):
+        if not isinstance(text, str):
+            raise SloParseError("rule must be a string: {!r}".format(text))
         self.text = " ".join(text.split())
         self.name = self.text
         self.fire_after = max(1, int(fire_after))

@@ -211,6 +211,83 @@ def test_bad_fault_requests_are_refused_and_the_run_survives():
         supervisor.shutdown()
 
 
+#: Control requests that must be refused without touching the run:
+#: intervals that are not positive and finite, a drill-down whose factor
+#: or granularity is bad, and rules that are not strings.
+BAD_CONTROL_REQUESTS = [
+    ("set_eviction_interval", {"interval": -1}),
+    ("set_eviction_interval", {"interval": 0}),
+    ("set_eviction_interval", {"interval": "nan"}),
+    ("set_eviction_interval", {"interval": "inf"}),
+    ("set_forward_interval", {"interval": "nan"}),
+    ("drill_down", {"node": "backend1", "factor": 0}),
+    ("drill_down", {"node": "backend1", "factor": 0.5}),
+    ("drill_down", {"node": "backend1", "factor": -2}),
+    ("drill_down", {"node": "backend1", "granularity": "packet"}),
+    ("add_rule", {"rule": 5}),
+    ("set_rules", {"rules": [5]}),
+    ("set_rules", {"rules": ["p95(nfs-write) < 8ms", None]}),
+    ("remove_rule", {"rule": ["p95(nfs-write) < 8ms"]}),
+]
+
+
+def test_bad_control_requests_are_refused_and_the_run_survives():
+    supervisor = Supervisor("nfs")
+    try:
+        supervisor.pump()
+        monitors = supervisor.sysprof.monitors
+        before = {
+            name: (m.daemon.eviction_interval, m.interaction_lpa.granularity)
+            for name, m in monitors.items()
+        }
+        rules = [rule.name for rule in supervisor.engine.rules]
+        answers = [
+            (op, params, supervisor.handle({"op": op, "params": params}))
+            for op, params in BAD_CONTROL_REQUESTS
+        ]
+        accepted = [(op, params) for op, params, answer in answers if answer["ok"]]
+        assert accepted == []
+        assert supervisor.sysprof.controller.drilled_nodes() == []
+        assert {
+            name: (m.daemon.eviction_interval, m.interaction_lpa.granularity)
+            for name, m in monitors.items()
+        } == before
+        assert [rule.name for rule in supervisor.engine.rules] == rules
+        start = supervisor.now
+        supervisor.pump()
+        supervisor.pump()
+        assert supervisor.now == pytest.approx(start + 2 * supervisor.slice_width)
+        # A valid drill-down after the refused ones still applies, by the
+        # factor asked for.
+        assert supervisor.handle(
+            {"op": "drill_down", "params": {"node": "backend1", "factor": 2.5}}
+        )["ok"]
+        assert monitors["backend1"].daemon.eviction_interval == pytest.approx(
+            before["backend1"][0] / 2.5
+        )
+    finally:
+        supervisor.shutdown()
+
+
+def test_forward_interval_must_be_positive_and_finite():
+    supervisor = Supervisor("federation")
+    try:
+        zones = list(supervisor.sysprof.federation.all_zones())
+        before = [zone.forward_interval for zone in zones]
+        for interval in (-1, 0, "nan", "inf"):
+            answer = supervisor.handle(
+                {"op": "set_forward_interval", "params": {"interval": interval}}
+            )
+            assert answer["ok"] is False, interval
+        assert [zone.forward_interval for zone in zones] == before
+        assert supervisor.handle(
+            {"op": "set_forward_interval", "params": {"interval": 0.25}}
+        )["ok"]
+        assert [zone.forward_interval for zone in zones] == [0.25] * len(zones)
+    finally:
+        supervisor.shutdown()
+
+
 def test_set_forward_interval_requires_federation(sup, client):
     with pytest.raises(ServiceCallError, match="federated"):
         client.call("set_forward_interval", interval=0.5)
