@@ -27,30 +27,12 @@ a sequence whose values appear in registered field order.  Rows are what
 the analyzers emit on the hot path — packing one is a flat iteration
 with zero per-record dict lookups.
 
-When numpy is available (and ``REPRO_NO_NUMPY`` is unset) each format
-also carries a packed little-endian *structured dtype* mirroring its
-struct layout byte for byte.  Frame decoding then runs through
-``np.frombuffer`` plus per-column extraction (measurably faster than the
-chunked ``struct`` unpack at both small and large frame sizes), and
-columnar producers/consumers can skip row tuples entirely via
-:func:`decode_frame_array` / :func:`encode_frame_array`.  The decoded
-values are bit-identical to the struct path — floats are reinterpreted,
-never recomputed — so the simulation's trace hashes cannot tell the two
-kernels apart; tests enforce this.  Frame *encoding* from row tuples
-deliberately stays on the cached multi-record ``struct`` packers: packing
-python tuples through ``np.array`` measures ~2.4x slower (see
-docs/performance.md).
+Encode and decode both run through the same cached multi-record
+``struct`` packers: one C-level ``pack_into`` or ``unpack_from`` per
+chunk of records, so neither side does per-record header work.
 """
 
-import os
 import struct
-
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-    _np = None
 
 _FRAME_MAGIC = 0xB10F  # multi-record frame
 _FRAME_HEADER = struct.Struct("<HHI")  # magic, format_id, record count
@@ -62,10 +44,6 @@ _DESCRIPTOR_HEADER = struct.Struct("<HH")  # format_id, body length
 _PACK_CHUNK = 512
 
 _SCALAR_CODES = {"f64": "d", "i64": "q", "u32": "I", "u16": "H", "bool": "?"}
-
-#: numpy structured-dtype codes mirroring ``_SCALAR_CODES`` ("<" packed
-#: little-endian, exactly the struct wire layout).
-_NP_CODES = {"f64": "<f8", "i64": "<i8", "u32": "<u4", "u16": "<u2", "bool": "?"}
 
 
 def _field_code(ftype):
@@ -119,34 +97,10 @@ class RecordFormat:
         )
         self._packers = {1: self._struct}
         self._scratch = bytearray()
-        self._np_dtype = None  # built lazily; False = layout mismatch
 
     @property
     def record_size(self):
         return self._struct.size
-
-    def numpy_dtype(self):
-        """Packed structured dtype matching the wire layout, or ``None``
-        when numpy is absent (or the layouts somehow disagree)."""
-        if _np is None:
-            return None
-        dtype = self._np_dtype
-        if dtype is None:
-            specs = []
-            for fname, ftype in self.fields:
-                code = _NP_CODES.get(ftype)
-                if code is None:
-                    code = "S{}".format(int(ftype[3:]))
-                specs.append((fname, code))
-            dtype = _np.dtype(specs)
-            if dtype.itemsize != self._struct.size:  # pragma: no cover
-                self._np_dtype = False
-                return None
-            self._np_dtype = dtype
-        return dtype if dtype is not False else None
-
-    def index_of(self, fname):
-        return self._index[fname]
 
     # ------------------------------------------------------------------
     # packing
@@ -213,37 +167,10 @@ class RecordFormat:
     def unpack_rows(self, payload, count):
         """Unpack ``count`` contiguous records into preordered row tuples.
 
-        With numpy: one ``np.frombuffer`` over the whole payload, one
-        ``tolist()`` per *column*, and a C-level ``zip`` back into row
-        tuples — no per-record python work at all.  Values are
-        reinterpreted, not recomputed, so they are bit-identical to the
-        struct path below (trace determinism tests compare the two).
-
-        Without numpy: one cached multi-record ``unpack_from`` per chunk,
-        then a flat slice per record — no per-record header or per-record
-        ``bytes`` objects.
+        One cached multi-record ``unpack_from`` per chunk, then a flat
+        slice per record: no per-record header or per-record ``bytes``
+        objects.
         """
-        if _np is not None:
-            dtype = self.numpy_dtype()
-            if dtype is not None:
-                array = _np.frombuffer(payload, dtype=dtype, count=count)
-                string_fields = self._string_fields
-                if not string_fields:
-                    return list(zip(*[
-                        array[name].tolist() for name in self.names
-                    ]))
-                columns = []
-                stringy = frozenset(i for i, _w in string_fields)
-                for index, name in enumerate(self.names):
-                    column = array[name].tolist()
-                    if index in stringy:
-                        # numpy already strips trailing NULs from 'S'
-                        # items, matching the rstrip below.
-                        column = [
-                            value.decode("utf-8", "replace") for value in column
-                        ]
-                    columns.append(column)
-                return list(zip(*columns))
         nfields = len(self.fields)
         size = self.record_size
         string_fields = self._string_fields
@@ -416,8 +343,7 @@ def _frame_payload(registry, blob):
     """``(format, count, payload)`` of a frame whose payload is exactly
     ``count`` records; ValueError otherwise.  A zero-width format's
     frames must be empty: there a count costs no bytes, so a frame could
-    claim a million records (numpy would decode them to ``[]``, the
-    struct path raise from ``range``)."""
+    claim a million records."""
     format_id, count = _frame_header(blob)
     fmt = registry.by_id(format_id)
     payload = memoryview(blob)[_FRAME_HEADER.size:]
@@ -436,49 +362,6 @@ def decode_frame(registry, blob):
     if count == 0:
         return fmt, []
     return fmt, fmt.unpack_rows(payload, count)
-
-
-def decode_frame_array(registry, blob):
-    """Decode one frame into ``(format, structured numpy array)``.
-
-    The zero-copy columnar view: ``array["field"]`` is a vectorized
-    column over the frame payload with no row tuples ever built.  For
-    batch consumers (the profiling harness, offline analysis) this is
-    the cheapest way to read a frame.  Requires numpy; raises
-    ``RuntimeError`` without it — callers that must always work use
-    :func:`decode_frame`.
-    """
-    if _np is None:
-        raise RuntimeError("decode_frame_array requires numpy")
-    fmt, count, payload = _frame_payload(registry, blob)
-    dtype = fmt.numpy_dtype()
-    if dtype is None:  # pragma: no cover - numpy checked above
-        raise RuntimeError("format {} has no numpy layout".format(fmt.name))
-    return fmt, _np.frombuffer(payload, dtype=dtype, count=count)
-
-
-def encode_frame_array(fmt, array):
-    """Encode a structured numpy array as one frame blob.
-
-    The columnar producer path: the array's packed little-endian bytes
-    *are* the frame payload (``tobytes`` of the wire dtype), so the
-    result is byte-identical to :func:`encode_frame` over the equivalent
-    row tuples — tests enforce this.  String columns must already hold
-    valid UTF-8 of at most the field width (numpy would truncate longer
-    values at a byte, not codepoint, boundary).  Requires numpy.
-    """
-    if _np is None:
-        raise RuntimeError("encode_frame_array requires numpy")
-    dtype = fmt.numpy_dtype()
-    if dtype is None:  # pragma: no cover - numpy checked above
-        raise RuntimeError("format {} has no numpy layout".format(fmt.name))
-    if array.dtype != dtype:
-        array = array.astype(dtype)
-    count = array.shape[0]
-    return (
-        _FRAME_HEADER.pack(_FRAME_MAGIC, fmt.format_id, count)
-        + array.tobytes()
-    )
 
 
 class FrameDecoder:

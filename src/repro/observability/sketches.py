@@ -28,15 +28,7 @@ updates and merges is charged separately (``CostModel.sketch_update`` /
 """
 
 import math
-import os
 from collections import deque
-
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-    _np = None
 
 #: Metrics the interaction sketch emitter maintains per request class.
 SKETCH_METRICS = ("latency", "qdepth")
@@ -109,13 +101,15 @@ class QuantileSketch:
         return self
 
     def update_many(self, values):
-        """Record a batch of values (vectorized when numpy is present).
+        """Record a batch of values (vectorized when numpy is installed).
 
         The numpy kernel computes every bucket index in one
         ``np.log``/``np.ceil`` pass and aggregates per-bucket counts with
         ``np.bincount``; without numpy it degrades to a plain
-        :meth:`add` loop.  Counts, ``zero_count``, ``min_value`` and
-        ``max_value`` are exactly what the loop would produce.  Two
+        :meth:`add` loop.  numpy is imported on the first call, not with
+        this module, so no simulation run loads it.  Counts,
+        ``zero_count``, ``min_value`` and ``max_value`` are exactly what
+        the loop would produce.  Two
         deliberate deviations keep the kernel fast, and are why the
         *in-simulation* SketchLPA sticks to scalar :meth:`add` (see
         docs/performance.md): ``np.log`` may differ from ``math.log`` by
@@ -126,12 +120,14 @@ class QuantileSketch:
         profiling harness, offline analysis — don't care; trace-hash
         determinism does.
         """
-        if _np is None:
+        try:
+            import numpy as np
+        except ImportError:
             add = self.add
             for value in values:
                 add(value)
             return self
-        arr = _np.asarray(values, dtype=_np.float64)
+        arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("update_many expects a 1-d sequence of values")
         total = arr.size
@@ -140,11 +136,11 @@ class QuantileSketch:
         positive = arr[arr > MIN_TRACKABLE]
         zeros = total - positive.size
         if positive.size:
-            indices = _np.ceil(
-                _np.log(positive) * self._inv_log_gamma
-            ).astype(_np.int64)
+            indices = np.ceil(
+                np.log(positive) * self._inv_log_gamma
+            ).astype(np.int64)
             if self._floor is not None:
-                _np.maximum(indices, self._floor, out=indices)
+                np.maximum(indices, self._floor, out=indices)
             low = int(indices.min())
             high = int(indices.max())
             buckets = self.buckets
@@ -152,13 +148,13 @@ class QuantileSketch:
             # when the index span dwarfs the sample count (tiny alpha
             # over a huge dynamic range).
             if high - low < 4 * indices.size + 1024:
-                counts = _np.bincount(indices - low)
+                counts = np.bincount(indices - low)
                 for offset, count in enumerate(counts.tolist()):
                     if count:
                         index = low + offset
                         buckets[index] = buckets.get(index, 0) + count
             else:
-                uniq, counts = _np.unique(indices, return_counts=True)
+                uniq, counts = np.unique(indices, return_counts=True)
                 for index, count in zip(uniq.tolist(), counts.tolist()):
                     buckets[index] = buckets.get(index, 0) + count
             while len(buckets) > self.max_buckets:

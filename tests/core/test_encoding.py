@@ -149,14 +149,10 @@ def test_garbled_descriptor_rejected():
             FrameDecoder().feed_descriptor(blob)
 
 
-@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
-def test_zero_width_frame_claiming_records_rejected(numpy, monkeypatch):
+def test_zero_width_frame_claiming_records_rejected():
     """A field-less format is adoptable, but its frames cost no payload
-    bytes per record, so one could claim a million records (numpy
-    decoded that to [], pure Python raised from range()).  Either way it
-    is now a ValueError, and an honest empty frame still decodes."""
-    if not numpy:
-        monkeypatch.setattr(encoding_mod, "_np", None)
+    bytes per record, so one could claim a million records.  That is a
+    ValueError, and an honest empty frame still decodes."""
     decoder = FrameDecoder()
     fmt = decoder.feed_descriptor(_DESCRIPTOR_HEADER.pack(9, 6) + b"ghost|")
     assert fmt.record_size == 0
@@ -366,90 +362,3 @@ def test_frame_roundtrip_property(records):
     _, decoded = decode_frame(registry, encode_frame(fmt, rows))
     assert [fmt.row_to_dict(row) for row in decoded] == records
 
-
-# ----------------------------------------------------------------------
-# numpy kernels: the vectorized frame paths must be indistinguishable
-# from the pure-struct ones — same bytes out, same values back.
-# ----------------------------------------------------------------------
-
-from repro.core import encoding as encoding_mod  # noqa: E402
-
-
-def _sample_rows(fmt, n=1200):
-    """Rows crossing the _PACK_CHUNK boundary, with awkward strings."""
-    rows = []
-    for i in range(n):
-        name = ["plain", "é-accent", "日本語テキスト", "", "x" * 40][i % 5]
-        rows.append((
-            i, i * 0.625, i - 600, i % 65536, bool(i % 3), name,
-        ))
-    return rows
-
-
-def test_numpy_decode_matches_struct_decode(monkeypatch):
-    if encoding_mod._np is None:
-        pytest.skip("numpy unavailable")
-    registry, fmt = _registry()
-    rows = _sample_rows(fmt)
-    blob = encode_frame(fmt, rows)
-    _, vectorized = decode_frame(registry, blob)
-    monkeypatch.setattr(encoding_mod, "_np", None)
-    _, scalar = decode_frame(registry, blob)
-    assert [tuple(r) for r in vectorized] == [tuple(r) for r in scalar]
-
-
-def test_encode_frame_bytes_identical_with_and_without_numpy(monkeypatch):
-    """encode_frame itself is struct-based either way; pin the bytes."""
-    _registry_a, fmt_a = _registry()
-    rows = _sample_rows(fmt_a, n=300)
-    with_np = encode_frame(fmt_a, rows)
-    monkeypatch.setattr(encoding_mod, "_np", None)
-    registry_b = FormatRegistry()
-    fmt_b = registry_b.register("test.record", FIELDS)
-    assert encode_frame(fmt_b, rows) == with_np
-
-
-def test_encode_frame_array_matches_row_encoding():
-    if encoding_mod._np is None:
-        pytest.skip("numpy unavailable")
-    np = encoding_mod._np
-    registry, fmt = _registry()
-    rows = [(i, i * 1.5, -i, i, bool(i % 2), "n{}".format(i))
-            for i in range(500)]
-    # Build the columnar producer's array (strings pre-encoded to bytes).
-    wire = [row[:-1] + (row[-1].encode(),) for row in rows]
-    array = np.array(wire, dtype=fmt.numpy_dtype())
-    assert encoding_mod.encode_frame_array(fmt, array) == encode_frame(fmt, rows)
-
-
-def test_decode_frame_array_columnar_view():
-    if encoding_mod._np is None:
-        pytest.skip("numpy unavailable")
-    registry, fmt = _registry()
-    rows = [(i, i * 0.5, i, i, False, "r{}".format(i)) for i in range(64)]
-    blob = encode_frame(fmt, rows)
-    got_fmt, array = encoding_mod.decode_frame_array(registry, blob)
-    assert got_fmt is fmt
-    assert array.shape == (64,)
-    assert array["value"].sum() == sum(r[1] for r in rows)
-    assert array["id"].tolist() == list(range(64))
-
-
-def test_array_functions_require_numpy(monkeypatch):
-    registry, fmt = _registry()
-    blob = encode_frame(fmt, [])
-    monkeypatch.setattr(encoding_mod, "_np", None)
-    with pytest.raises(RuntimeError):
-        encoding_mod.decode_frame_array(registry, blob)
-    with pytest.raises(RuntimeError):
-        encoding_mod.encode_frame_array(fmt, None)
-
-
-def test_numpy_dtype_layout_matches_struct():
-    if encoding_mod._np is None:
-        pytest.skip("numpy unavailable")
-    _registry_x, fmt = _registry()
-    dtype = fmt.numpy_dtype()
-    assert dtype is not None
-    assert dtype.itemsize == fmt.record_size
-    assert dtype.names == fmt.names

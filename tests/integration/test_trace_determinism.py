@@ -4,10 +4,7 @@ The hard constraint on every engine optimization: same seed => byte
 identical GPA traces.  These tests hash the full interaction trace of
 the NFS and RUBiS experiments and require the hash to (a) equal the
 golden digest in ``tests/fixtures/golden_digests.json``, (b) survive a
-re-run, (c) survive fanning the sweep out over worker processes, and
-(d) survive removing numpy, which disables the vectorized frame-decode
-kernel (``frombuffer`` reinterprets the same bytes the struct path
-unpacks, so the decoded rows are bit-identical either way).
+re-run, and (c) survive fanning the sweep out over worker processes.
 
 The golden digests were recorded while the heap-store oracle, the
 pure-store dispatch loop and the per-record wire mode still existed and
@@ -15,8 +12,6 @@ all produced these same hashes.
 """
 
 import pytest
-
-from repro.core import encoding
 
 from repro.experiments import run_points
 from repro.experiments.nfs_storage import (
@@ -61,13 +56,6 @@ def test_nfs_trace_hash_repeatable(nfs_baseline):
     assert all(nfs_baseline)  # non-empty hashes
 
 
-def test_nfs_trace_hash_identical_without_numpy(nfs_baseline, monkeypatch):
-    """Pure-Python frame decode must reproduce the numpy kernel's trace."""
-    monkeypatch.setattr(encoding, "_np", None)
-    pure = run_nfs_experiment(1, NFS_CONFIG).trace_hash
-    assert pure == nfs_baseline[0]
-
-
 def test_nfs_trace_hash_identical_under_jobs(nfs_baseline):
     parallel = run_thread_sweep(NFS_CONFIG, jobs=4)
     assert [result.trace_hash for result in parallel] == nfs_baseline
@@ -93,12 +81,6 @@ def test_rubis_trace_hash_repeatable(rubis_baseline):
     assert rubis_baseline
     again = run_rubis_experiment("dwcs", RUBIS_CONFIG).trace_hash
     assert again == rubis_baseline
-
-
-def test_rubis_trace_hash_identical_without_numpy(rubis_baseline, monkeypatch):
-    monkeypatch.setattr(encoding, "_np", None)
-    pure = run_rubis_experiment("dwcs", RUBIS_CONFIG).trace_hash
-    assert pure == rubis_baseline
 
 
 def test_rubis_trace_hash_identical_under_jobs(rubis_baseline):

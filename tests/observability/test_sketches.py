@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -165,7 +166,8 @@ def test_store_clear_keeps_cumulative_counter():
 
 
 # ----------------------------------------------------------------------
-# update_many: the batch kernel (numpy or fallback loop)
+# update_many: the batch kernel (numpy, imported on first use, or the
+# fallback loop)
 # ----------------------------------------------------------------------
 
 def test_update_many_matches_scalar_adds_exactly_for_counts():
@@ -193,12 +195,11 @@ def test_update_many_matches_scalar_adds_exactly_for_counts():
 
 
 def test_update_many_python_fallback_equivalent(monkeypatch):
-    from repro.observability import sketches as sketches_mod
-
     values = [0.5, 2.0, 2.0, 8.0, 0.0, 40.0]
     vectorized = QuantileSketch()
     vectorized.update_many(values)
-    monkeypatch.setattr(sketches_mod, "_np", None)
+    # A None entry makes ``import numpy`` raise ImportError.
+    monkeypatch.setitem(sys.modules, "numpy", None)
     fallback = QuantileSketch()
     fallback.update_many(values)
     assert fallback.count == vectorized.count
@@ -231,13 +232,6 @@ def test_update_many_respects_collapse_bound():
 
 
 def test_update_many_rejects_matrix_input():
-    from repro.observability import sketches as sketches_mod
-
-    if sketches_mod._np is None:
-        import pytest
-
-        pytest.skip("numpy unavailable")
-    import pytest
-
+    pytest.importorskip("numpy")
     with pytest.raises(ValueError):
         QuantileSketch().update_many([[1.0, 2.0], [3.0, 4.0]])

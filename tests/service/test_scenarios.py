@@ -159,3 +159,23 @@ def test_service_import_leaves_experiments_unloaded():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_scenarios_run_without_loading_numpy():
+    """numpy serves one batch kernel (``QuantileSketch.update_many``,
+    which imports it on first use); the CLI, the service and every
+    registered scenario run without it, keeping its import time and
+    memory out of every simulation run."""
+    code = (
+        "import sys, repro.cli, repro.service\n"
+        "for name in sorted(repro.service.SCENARIOS):\n"
+        "    with repro.service.build_scenario(name) as scenario:\n"
+        "        scenario.cluster.run(until=0.3)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
