@@ -88,7 +88,10 @@ class RecordFormat:
         self.fields = tuple((str(fname), str(ftype)) for fname, ftype in fields)
         self.names = tuple(fname for fname, _ in self.fields)
         self._codes = "".join(_field_code(ftype) for _, ftype in self.fields)
-        self._struct = struct.Struct("<" + self._codes)
+        try:
+            self._struct = struct.Struct("<" + self._codes)
+        except struct.error as exc:  # e.g. a strN too wide to address
+            raise ValueError("format {}: {}".format(name, exc)) from None
         self._index = {fname: i for i, fname in enumerate(self.names)}
         self._string_fields = tuple(
             (i, int(ftype[3:]))

@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.encoding import (
     FormatRegistry,
@@ -134,6 +134,14 @@ def test_truncated_blob_rejected():
             FormatRegistry().adopt(descriptor[:cut])
 
 
+#: A well-formed descriptor whose ``strN`` width makes ``struct`` raise
+#: ``struct.error: total struct size too long``.  It used to escape the
+#: tier's ``ValueError`` handler and abort the whole run.
+STRUCT_REJECTED_DESCRIPTOR = (
+    _DESCRIPTOR_HEADER.pack(9, 32) + b"evil|a:str9999999999999999999999"
+)
+
+
 def test_garbled_descriptor_rejected():
     _, fmt = _registry()
     descriptor = fmt.describe()
@@ -143,6 +151,7 @@ def test_garbled_descriptor_rejected():
         descriptor[:4] + b"\xff" * (len(descriptor) - 4),  # not UTF-8
         descriptor.replace(b"f64", b"f65"),  # unknown field type
         descriptor.replace(b"str12", b"strxy"),  # unparsable width
+        STRUCT_REJECTED_DESCRIPTOR,  # a width struct cannot address
     ]
     for blob in garbled:
         with pytest.raises(ValueError):
@@ -362,3 +371,131 @@ def test_frame_roundtrip_property(records):
     _, decoded = decode_frame(registry, encode_frame(fmt, rows))
     assert [fmt.row_to_dict(row) for row in decoded] == records
 
+
+# ----------------------------------------------------------------------
+# fuzzing the decoder: hostile descriptor and frame streams
+# ----------------------------------------------------------------------
+
+_FUZZ_REGISTRY = FormatRegistry()
+_FUZZ_FMT = _FUZZ_REGISTRY.register("fuzz.record", FIELDS)
+_FUZZ_ROWS = _as_rows(_FUZZ_FMT, _sample_records(5))
+_FUZZ_DESCRIPTOR = _FUZZ_FMT.describe()
+_FUZZ_FRAME = encode_frame(_FUZZ_FMT, _FUZZ_ROWS)
+# A sibling format on the same stream, so blobs can be spliced across
+# formats and a frame can land on the other format's id.
+_SIBLING_FMT = _FUZZ_REGISTRY.register("fuzz.sibling", (("x", "u16"), ("y", "str3")))
+_VALID_DESCRIPTORS = (_FUZZ_DESCRIPTOR, _SIBLING_FMT.describe())
+_VALID_FRAMES = (_FUZZ_FRAME, encode_frame(_SIBLING_FMT, [(7, "abc"), (8, "é")]))
+_VALID_BLOBS = _VALID_DESCRIPTORS + _VALID_FRAMES
+
+_VALID_TYPES = st.one_of(
+    st.sampled_from(["f64", "i64", "u32", "u16", "bool"]),
+    st.integers(1, 40).map("str{}".format),
+)
+#: Mostly valid field types, so most random formats get adopted and
+#: their frames decoded; then garbage, and widths up to 10**30 (past
+#: 2**63 - 1, ``struct`` itself rejects the layout).
+_FIELD_TYPES = st.one_of(
+    _VALID_TYPES,
+    _VALID_TYPES,
+    _VALID_TYPES,
+    st.sampled_from(["str", "strx", "str0", "str-1", "f65", ""]),
+    st.integers(0, 10**30).map("str{}".format),
+)
+
+
+@st.composite
+def _random_format(draw):
+    """A descriptor built from a random name and field list, then a frame
+    for its id whose payload is random bytes of the declared size."""
+    name = draw(st.text(max_size=8))
+    fields = draw(st.lists(st.tuples(st.text(max_size=4), _FIELD_TYPES), max_size=6))
+    body = "{}|{}".format(name, ";".join("{}:{}".format(f, t) for f, t in fields))
+    body = body.encode("utf-8")
+    format_id = draw(st.integers(0, 3))
+    descriptor = _DESCRIPTOR_HEADER.pack(format_id, len(body)) + body
+    try:
+        size = FormatRegistry().adopt(descriptor).record_size
+    except ValueError:
+        size = draw(st.integers(0, 16))
+    count = draw(st.integers(0, 4)) if size <= 64 else 0
+    payload = draw(st.binary(min_size=count * size, max_size=count * size))
+    frame = _FRAME_HEADER.pack(_FRAME_MAGIC, format_id, count) + payload
+    return [("fmt", descriptor), ("frame", frame)]
+
+
+@st.composite
+def _claiming_frame(draw):
+    """A frame for any id that claims up to 2**32 - 1 records."""
+    count = draw(st.integers(0, 2**32 - 1))
+    header = _FRAME_HEADER.pack(_FRAME_MAGIC, draw(st.integers(0, 3)), count)
+    return header + draw(st.binary(max_size=96))
+
+
+@st.composite
+def _mutant(draw, blobs=_VALID_BLOBS):
+    """A truncation, bit flip, duplicated run or splice of a valid blob."""
+    blob = draw(st.sampled_from(blobs))
+    at = draw(st.integers(0, len(blob)))
+    kind = draw(st.sampled_from(["truncate", "flip", "duplicate", "splice"]))
+    if kind == "truncate":
+        return blob[:at]
+    if kind == "flip":
+        at = min(at, len(blob) - 1)
+        flipped = bytearray(blob)
+        flipped[at] ^= 1 << draw(st.integers(0, 7))
+        return bytes(flipped)
+    if kind == "duplicate":
+        end = draw(st.integers(at, len(blob)))
+        return blob[:end] + blob[at:]
+    other = draw(st.sampled_from(_VALID_BLOBS))
+    return blob[:at] + other[draw(st.integers(0, len(other))):]
+
+
+#: Streams of (feed kind, blob) messages.  Valid blobs come in any
+#: order and any number of times, so frames arrive before their
+#: descriptor and descriptors arrive twice; the last branch feeds any
+#: blob as either kind.
+_MESSAGES = st.lists(
+    st.one_of(
+        _random_format(),
+        st.tuples(
+            st.just("fmt"),
+            st.one_of(st.sampled_from(_VALID_DESCRIPTORS), _mutant(_VALID_DESCRIPTORS)),
+        ).map(lambda message: [message]),
+        st.tuples(
+            st.just("frame"),
+            st.one_of(
+                st.sampled_from(_VALID_FRAMES), _mutant(_VALID_FRAMES), _claiming_frame()
+            ),
+        ).map(lambda message: [message]),
+        st.tuples(st.sampled_from(["fmt", "frame"]), _mutant()).map(
+            lambda message: [message]
+        ),
+    ),
+    max_size=6,
+).map(lambda groups: [message for group in groups for message in group])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_MESSAGES)
+@example([("fmt", STRUCT_REJECTED_DESCRIPTOR)])
+@example([("frame", _FUZZ_FRAME), ("fmt", _FUZZ_DESCRIPTOR), ("fmt", _FUZZ_DESCRIPTOR)])
+def test_decoder_survives_hostile_streams(messages):
+    """The decoder only returns or raises ValueError/KeyError, never
+    returns a row of the wrong width, and keeps no state that stops the
+    original descriptor and frame from decoding afterwards."""
+    decoder = FrameDecoder()
+    for kind, blob in messages:
+        try:
+            if kind == "fmt":
+                decoder.feed_descriptor(blob)
+            else:
+                fmt, rows = decoder.feed(blob)
+                assert all(len(row) == len(fmt.fields) for row in rows)
+        except (KeyError, ValueError):
+            pass
+    decoder.feed_descriptor(_FUZZ_DESCRIPTOR)
+    fmt, rows = decoder.feed(_FUZZ_FRAME)
+    assert fmt.fields == _FUZZ_FMT.fields
+    assert rows == _FUZZ_ROWS

@@ -102,6 +102,22 @@ def test_short_descriptor_counted_and_connection_keeps_ingesting():
     assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
 
 
+def test_struct_rejected_descriptor_counted_and_connection_keeps_ingesting():
+    """Regression: a descriptor whose strN width ``struct`` cannot
+    address raised struct.error, which the tier's ValueError handler
+    let out of ``cluster.run()``."""
+    cluster, sysprof = build_monitored_pair()
+    descriptor, frame = _probe_stream(sysprof.lpa("server").record_format)
+    body = b"evil|a:str9999999999999999999999"
+    _send_on_one_connection(cluster, [
+        ("sysprof-fmt", encoding._DESCRIPTOR_HEADER.pack(999, len(body)) + body),
+        ("sysprof-fmt", descriptor),
+        ("sysprof-frame", frame),
+    ])
+    assert sysprof.gpa.decode_errors == 1
+    assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
+
+
 def test_zero_width_frame_counted_and_connection_keeps_ingesting():
     """Regression: a frame claiming a million records of a field-less
     format is one counted decode error."""
