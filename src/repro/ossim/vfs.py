@@ -45,10 +45,14 @@ class Vfs:
         self.inodes = {}
         self._handles = {}
         self._next_fd = 3
-        # (path, page_index) -> dirty flag; OrderedDict gives LRU order.
+        # (path, page_index) -> write stamp of the page's newest unflushed
+        # write, 0 when clean; OrderedDict gives LRU order.
         self._cache = OrderedDict()
+        # Stamp of the newest dirtying write; fsync compares page stamps
+        # with the value it saw when it issued its disk write.
+        self._stamp = 0
         # path -> set of that file's dirty page indexes, changed wherever
-        # a flag above changes, so fsync never scans the whole cache.
+        # a stamp above changes, so fsync never scans the whole cache.
         self._dirty = defaultdict(set)
         self.cache_hits = 0
         self.cache_misses = 0
@@ -143,16 +147,19 @@ class Vfs:
             count = last - first + 1
             yield self._submit(task, self.costs.blk_issue, tp.BLK_ISSUE)
             task.disk_ops += 1
+            issued = self._stamp
             yield from self.kernel.block_wait(task, self.disk.submit(
                 "write", first * self.PAGE, count * self.PAGE))
-            # A concurrent writer may have evicted some of these pages
-            # while the disk ran: only pages still cached are marked clean.
+            # While the disk ran, a concurrent writer may have evicted some
+            # of these pages or written them again.  Only cached pages
+            # whose newest write this flush carried are marked clean.
             pages = self._dirty[path]
             for page in range(first, last + 1):
                 key = (path, page)
-                if key in cache:
-                    cache[key] = False
-                pages.discard(page)
+                stamp = cache.get(key)
+                if stamp is not None and stamp <= issued:
+                    cache[key] = 0
+                    pages.discard(page)
         self.writeback_pages += len(dirty)
         self.kernel.tracepoints.fire(
             tp.FS_FSYNC, pid=task.pid, path=path, pages=len(dirty)
@@ -177,14 +184,16 @@ class Vfs:
     def _insert_page(self, path, page, dirty):
         key = (path, page)
         cache = self._cache
+        stamp = 0
         if dirty:
+            self._stamp = stamp = self._stamp + 1
             self._dirty[path].add(page)
         if key in cache:
             if dirty:
-                cache[key] = True
+                cache[key] = stamp
             cache.move_to_end(key)
             return
-        cache[key] = dirty
+        cache[key] = stamp
         if len(cache) > self.cache_pages:
             (old_path, old_page), was_dirty = cache.popitem(last=False)
             if was_dirty:

@@ -149,6 +149,40 @@ def test_fsync_keeps_pages_evicted_while_it_waits_out_of_the_cache():
     assert vfs.cache_stats()["dirty"] == 8  # all of /g, still unflushed
 
 
+def test_fsync_keeps_a_page_rewritten_while_its_flush_is_on_the_disk():
+    """A page written again while an fsync's disk write carries its old
+    data stays dirty, so the next fsync flushes the newer write."""
+    cluster = Cluster(seed=6)
+    node = cluster.add_node("store", with_disk=True)
+    vfs = node.kernel.vfs
+
+    def syncer(ctx):
+        handle = yield from ctx.open("/f")
+        yield from ctx.write(handle, 8 * 4096, offset=0)
+        pages = yield from ctx.fsync(handle)
+        return pages, ctx.now
+
+    def rewriter(ctx):
+        handle = yield from ctx.open("/f")
+        yield from ctx.sleep(1.05e-3)  # the flush of /f is on the disk by now
+        yield from ctx.write(handle, 4096, offset=0)
+        rewritten_at = ctx.now
+        yield from ctx.sleep(20e-3)  # and has completed by now
+        fsync_at = ctx.now
+        return rewritten_at, fsync_at, (yield from ctx.fsync(handle))
+
+    a = node.spawn("a", syncer)
+    b = node.spawn("b", rewriter)
+    cluster.run()
+    flushed, synced_at = a.exit_value
+    rewritten_at, fsync_at, reflushed = b.exit_value
+    assert flushed == 8
+    assert rewritten_at < synced_at < fsync_at
+    assert reflushed == 1
+    assert vfs._cache[("/f", 0)] == 0
+    assert vfs.cache_stats()["dirty"] == 0
+
+
 def test_file_position_advances(node):
     def worker(ctx):
         handle = yield from ctx.open("/f")
