@@ -11,69 +11,18 @@ Run:  pytest benchmarks/ --benchmark-only
 Setting ``BENCH_SMOKE=1`` runs the throughput benchmarks in *smoke
 mode* — small iteration counts, relaxed speedup floors, and no
 ``BENCH_*.json`` rewrite — so CI can exercise the benchmark code paths
-without the noise-sensitive perf assertions on shared runners.
+without the noise-sensitive perf assertions on shared runners.  Full
+runs append to their ``BENCH_*.json`` trajectory through
+:func:`repro.experiments.common.record_trajectory`, the writer the CLI
+uses too.
 """
 
-import json
 import os
-import subprocess
-import time
 
 import pytest
 
 #: Smoke mode: scaled-down runs for CI (see module docstring).
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-
-
-def _git_commit():
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            capture_output=True, text=True, timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
-def record_run(path, schema, payload):
-    """Append one run's numbers to a ``BENCH_*.json`` perf trajectory.
-
-    The file keeps a ``trajectory`` list (oldest first); each run entry
-    is the benchmark's numbers stamped with the git commit and date, so
-    later PRs extend the history instead of erasing it.  The newest
-    entry is mirrored under ``latest`` for easy reading.  A flat
-    pre-trajectory snapshot (the v1 layout) is migrated into the first
-    trajectory entry, never clobbered.  Callers skip this in smoke mode.
-    """
-    doc = {}
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError:
-            doc = {}
-    trajectory = doc.get("trajectory")
-    if not isinstance(trajectory, list):
-        trajectory = []
-        legacy = {
-            key: value for key, value in doc.items() if key != "schema"
-        }
-        if legacy:
-            legacy["note"] = "migrated pre-trajectory snapshot"
-            trajectory.append(legacy)
-    entry = dict(payload)
-    entry["commit"] = _git_commit()
-    entry["date"] = time.strftime("%Y-%m-%d")
-    trajectory.append(entry)
-    path.write_text(json.dumps({
-        "schema": schema,
-        "latest": entry,
-        "trajectory": trajectory,
-    }, indent=2) + "\n")
-    return entry
 
 
 def report(title, headers, rows, notes=()):

@@ -16,8 +16,9 @@ at the repo root; ``tools/gen_docs.py`` renders the latest entry into
 from pathlib import Path
 
 from repro.experiments.calibrate import BENCH_SCHEMA, run_calibration
+from repro.experiments.common import record_trajectory
 
-from benchmarks.conftest import SMOKE, record_run, report
+from benchmarks.conftest import SMOKE, report
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_calibration.json"
 
@@ -68,4 +69,4 @@ def test_calibration_recovers_modeled_geometry():
         assert r.rel_error <= ceiling, (name, r.rel_error)
 
     if not SMOKE:
-        record_run(BENCH_PATH, BENCH_SCHEMA, result.payload())
+        record_trajectory(BENCH_PATH, BENCH_SCHEMA, result.payload())

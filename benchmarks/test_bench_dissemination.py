@@ -18,8 +18,9 @@ from pathlib import Path
 
 from repro.core import encoding
 from repro.core.lpa import INTERACTION_FORMAT
+from repro.experiments.common import record_trajectory
 
-from benchmarks.conftest import SMOKE, record_run, report
+from benchmarks.conftest import SMOKE, report
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_dissemination.json"
 
@@ -112,7 +113,7 @@ def test_dissemination_throughput():
     publish_rate = _publish_rate()
 
     if not SMOKE:  # smoke runs never append to the recorded trajectory
-        record_run(BENCH_PATH, "sysprof-repro/bench-dissemination/v3", {
+        record_trajectory(BENCH_PATH, "sysprof-repro/bench-dissemination/v3", {
             "format": fmt.name,
             "record_size_bytes": fmt.record_size,
             "records_per_batch": N_RECORDS,

@@ -18,10 +18,11 @@ from pathlib import Path
 
 from repro.cluster import Cluster
 from repro.core.kprof import Kprof, exclude_port_range
+from repro.experiments.common import record_trajectory
 from repro.ossim import tracepoints as tp
 from repro.sim.engine import Simulator, Waitable
 
-from benchmarks.conftest import SMOKE, record_run
+from benchmarks.conftest import SMOKE
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -96,7 +97,7 @@ def test_engine_throughput():
     suppress_rate = _kprof_rate(predicate=exclude_port_range(5000, 5999))
 
     if not SMOKE:  # smoke runs never append to the recorded trajectory
-        record_run(BENCH_PATH, "sysprof-repro/bench-engine/v3", {
+        record_trajectory(BENCH_PATH, "sysprof-repro/bench-engine/v3", {
             "engine": {
                 "workload": "waitable callback chain, {} standing timers".format(
                     STANDING_TIMERS

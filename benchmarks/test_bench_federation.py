@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 from repro.cluster import Cluster
+from repro.experiments.common import record_trajectory
 from repro.experiments.federation import (
     FederationConfig,
     run_federation_sweep,
@@ -26,7 +27,7 @@ from repro.experiments.federation import (
 )
 from repro.netsim.packet import Address, Packet
 
-from benchmarks.conftest import SMOKE, record_run, report
+from benchmarks.conftest import SMOKE, report
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_federation.json"
 
@@ -83,7 +84,7 @@ def test_federation_bounds_root_load():
             str(ports): round(seconds * 1e9, 1)
             for ports, seconds in per_hop.items()
         }
-        record_run(BENCH_PATH, "sysprof-repro/bench-federation/v1", payload)
+        record_trajectory(BENCH_PATH, "sysprof-repro/bench-federation/v1", payload)
 
     report(
         "federation scaling (written to BENCH_federation.json)",

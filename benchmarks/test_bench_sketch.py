@@ -24,9 +24,10 @@ import random
 import time
 from pathlib import Path
 
+from repro.experiments.common import record_trajectory
 from repro.observability.sketches import QuantileSketch
 
-from benchmarks.conftest import SMOKE, record_run, report
+from benchmarks.conftest import SMOKE, report
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sketch.json"
 
@@ -129,7 +130,7 @@ def test_sketch_throughput_and_accuracy():
         assert batch_rate >= BATCH_FLOOR
 
     if not SMOKE:  # smoke runs never append to the recorded trajectory
-        record_run(BENCH_PATH, "sysprof-repro/bench-sketch/v2", {
+        record_trajectory(BENCH_PATH, "sysprof-repro/bench-sketch/v2", {
             "samples": N_SAMPLES,
             "windows": N_WINDOWS,
             "alpha": sketch.alpha,

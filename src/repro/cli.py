@@ -364,12 +364,12 @@ def _cmd_serve(args):
 
 
 def _cmd_federation(args):
+    from repro.experiments.common import record_trajectory
     from repro.experiments.federation import (
         BENCH_PATH,
         BENCH_SCHEMA,
         FederationConfig,
         partition_payload,
-        record_trajectory,
         run_federation_sweep,
         run_partition_sweep,
         smoke_config,

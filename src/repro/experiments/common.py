@@ -110,12 +110,13 @@ def git_commit():
 def record_trajectory(path, schema, payload):
     """Append one run to a ``BENCH_*.json`` trajectory.
 
-    Same layout as the benchmark harness's ``record_run`` (src/ cannot
-    import benchmarks/): an oldest-first ``trajectory`` list with the
-    newest entry mirrored under ``latest``, each entry commit- and
-    date-stamped.  Shared by every CLI BENCH writer — federation,
-    microbench, calibrate.  Corrupt files are survivable (the history
-    restarts rather than crashing the run).
+    The file keeps an oldest-first ``trajectory`` list with the newest
+    entry mirrored under ``latest``, each entry commit- and
+    date-stamped, so later runs extend the history instead of erasing
+    it.  The only BENCH writer: the CLI (federation, microbench,
+    calibrate) and the ``benchmarks/`` harness both call it.  Corrupt
+    files are survivable (the history restarts rather than crashing the
+    run).
     """
     path = pathlib.Path(path)
     doc = {}

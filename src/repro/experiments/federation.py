@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core import SysProfConfig
-from repro.experiments.common import record_trajectory
 from repro.faults import FaultSchedule
 from repro.service.scenarios import build_scenario
 
@@ -42,7 +41,6 @@ __all__ = [
     "FederationPoint",
     "PartitionPoint",
     "partition_payload",
-    "record_trajectory",  # re-exported shared writer (CLI + tests import here)
     "run_federation_point",
     "run_federation_sweep",
     "run_partition_point",
