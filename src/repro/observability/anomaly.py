@@ -10,7 +10,7 @@ used to — before any hand-written threshold trips.  Two detectors:
     ``|x - median| / (1.4826 * MAD)``.  Median/MAD instead of mean/std
     so a single spike cannot drag its own baseline along and mask
     itself.  A constant window (MAD == 0) only flags a value that
-    actually moved.
+    actually moved; a move within float rounding is no move.
 
 ``rate``
     The same robust z-score applied to the per-interval derivative of a
@@ -33,6 +33,14 @@ ring buffers: host-side pure, no simulated CPU, no trace perturbation
 #: for normal data.
 MAD_SCALE = 1.4826
 
+#: Deviation from the baseline median, relative to the median, that is
+#: float rounding rather than movement.  A rate is a difference of two
+#: cumulative samples over a difference of two sample times, so a
+#: constant slope comes back jittering in its last bits (about 1e-14
+#: relative in the synthetic scenario's first seconds, growing with the
+#: run's length); against a flat window that jitter would score ``inf``.
+ROUNDING_TOLERANCE = 1e-6
+
 #: Prefix for anomaly alert names — keeps the rule namespace disjoint
 #: from the SLO grammar (which never produces a name with this prefix).
 ALERT_PREFIX = "anomaly:"
@@ -50,17 +58,23 @@ def _median(values):
 def robust_zscore(value, window):
     """``|value - median(window)| / (MAD_SCALE * MAD)`` (0.0 if flat).
 
-    With a flat window the deviation scale is zero; any departure is
-    infinitely surprising, so return ``inf`` when the value moved and
+    Deviations within ``ROUNDING_TOLERANCE`` of the median are rounding:
+    such a value scores 0.0, and a window whose MAD is that small is
+    flat.  With a flat window the deviation scale is zero; any departure
+    is infinitely surprising, so return ``inf`` when the value moved and
     ``0.0`` when it matches the constant.
     """
     if not window:
         return 0.0
     med = _median(window)
+    rounding = ROUNDING_TOLERANCE * abs(med)
+    deviation = abs(value - med)
+    if deviation <= rounding:
+        return 0.0
     mad = _median([abs(v - med) for v in window])
-    if mad <= 0.0:
-        return 0.0 if value == med else float("inf")
-    return abs(value - med) / (MAD_SCALE * mad)
+    if mad <= rounding:
+        return float("inf")
+    return deviation / (MAD_SCALE * mad)
 
 
 class SeriesDetector:

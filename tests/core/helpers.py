@@ -1,5 +1,8 @@
 """Shared mini-application used by the core toolkit tests."""
 
+import importlib
+import sys
+
 from repro.cluster import Cluster
 from repro.core import SysProf, SysProfConfig
 
@@ -17,6 +20,19 @@ def build_monitored_pair(seed=13, config=None, monitored=("server",),
     sysprof.install(monitored=list(monitored), gpa_node=gpa_node)
     sysprof.start()
     return cluster, sysprof
+
+
+def load_or_block_numpy(load, monkeypatch):
+    """Import numpy into the process (when it is installed), or make
+    every ``import numpy`` raise ImportError until the test ends.  The
+    frame decoder is struct-only and must behave the same either way."""
+    if not load:
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        return
+    try:
+        importlib.import_module("numpy")
+    except ImportError:
+        pass
 
 
 def echo_server(ctx, port=8080, compute=0.002, response_bytes=3000):

@@ -17,6 +17,7 @@ from repro.core.encoding import (
     encode_frame,
     encode_text,
 )
+from tests.core.helpers import load_or_block_numpy
 
 FIELDS = (
     ("id", "u32"),
@@ -158,10 +159,13 @@ def test_garbled_descriptor_rejected():
             FrameDecoder().feed_descriptor(blob)
 
 
-def test_zero_width_frame_claiming_records_rejected():
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+def test_zero_width_frame_claiming_records_rejected(numpy, monkeypatch):
     """A field-less format is adoptable, but its frames cost no payload
     bytes per record, so one could claim a million records.  That is a
-    ValueError, and an honest empty frame still decodes."""
+    ValueError, and an honest empty frame still decodes, whether numpy
+    is loaded or cannot be imported."""
+    load_or_block_numpy(numpy, monkeypatch)
     decoder = FrameDecoder()
     fmt = decoder.feed_descriptor(_DESCRIPTOR_HEADER.pack(9, 6) + b"ghost|")
     assert fmt.record_size == 0

@@ -1,10 +1,17 @@
 """Failure injection: lossy links, dead analyzers, overloaded daemons."""
 
+import pytest
+
 from repro.cluster import Cluster
 from repro.core import SysProfConfig, encoding
 from repro.core.encoding import FormatRegistry, encode_frame
 from repro.netsim import Address, Packet
-from tests.core.helpers import build_monitored_pair, drive_traffic, echo_server
+from tests.core.helpers import (
+    build_monitored_pair,
+    drive_traffic,
+    echo_server,
+    load_or_block_numpy,
+)
 
 
 def test_lossy_fabric_drops_frames():
@@ -118,9 +125,14 @@ def test_struct_rejected_descriptor_counted_and_connection_keeps_ingesting():
     assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
 
 
-def test_zero_width_frame_counted_and_connection_keeps_ingesting():
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+def test_zero_width_frame_counted_and_connection_keeps_ingesting(
+    numpy, monkeypatch
+):
     """Regression: a frame claiming a million records of a field-less
-    format is one counted decode error."""
+    format is one counted decode error, whether numpy is loaded or
+    cannot be imported."""
+    load_or_block_numpy(numpy, monkeypatch)
     cluster, sysprof = build_monitored_pair()
     descriptor, frame = _probe_stream(sysprof.lpa("server").record_format)
     _send_on_one_connection(cluster, [

@@ -28,6 +28,15 @@ def test_robust_zscore_basics():
     assert robust_zscore(1.0, []) == 0.0
 
 
+def test_robust_zscore_treats_rounding_jitter_as_flat():
+    """A constant slope read back through a cumulative counter jitters
+    in its last bits; that is no movement, and the window stays flat."""
+    rate = 0.000346256
+    window = [rate * (1.0 + k * 1e-14) for k in (0, 1, -1, 0, 2, 0, -2)]
+    assert robust_zscore(rate * (1.0 - 3e-14), window) == 0.0
+    assert robust_zscore(rate * 1.5, window) == float("inf")
+
+
 def test_detector_validation():
     with pytest.raises(ValueError):
         SeriesDetector("x", mode="weird")

@@ -98,6 +98,16 @@ def test_boundary_samples_recorder_and_anomaly(sup):
     assert sup.recorder.names()  # series actually landed
 
 
+def test_fault_free_run_raises_no_anomaly(sup):
+    """The synthetic load burns CPU at a constant rate; only rounding
+    moves its busy-seconds slope, and rounding is not an anomaly."""
+    sub = sup.subscribe(["alert", "anomaly"])
+    sup.run(3.0)
+    assert sup.anomaly.checks == sup.slices
+    assert sup.anomaly.fired == 0
+    assert sup.poll(sub) == []
+
+
 def test_service_sources_are_registered(sup):
     prefixes = sup.sysprof.metrics.source_prefixes()
     assert "sysprof.recorder" in prefixes
