@@ -13,16 +13,18 @@ class Link:
 
     Two admission styles:
 
-    * :meth:`transmit` — fire-and-forget, packet waits in the link queue
-      (used by switch output ports, where queueing is the model).
+    * :meth:`transmit` — the packet waits in the link queue (switch
+      output ports, where queueing is the model); an optional
+      ``on_sent(packet)`` runs in the instant it leaves the wire, which
+      is how a NIC TX pump applies backpressure instead of queueing
+      unboundedly.
     * :meth:`transmit_blocking` — returns a waitable that triggers when
-      serialization finishes, so the caller (a NIC TX ring pump) can apply
-      backpressure instead of queueing unboundedly.
+      serialization finishes.
 
-    The serializer is a callback state machine over a plain deque, with
-    the same engine hops as the store-fed process it replaced: a start
-    hop, one hop to begin each packet, and a timer plus its delivery hop
-    to finish it (``docs/performance.md``).
+    The serializer is a callback state machine over a plain deque.  A
+    packet costs one engine event, its serialization timer, which
+    finishes it; besides that a link allocates its start hop and each
+    packet's propagation (``docs/performance.md``).
     """
 
     def __init__(self, sim, bandwidth_bps, latency, deliver, loss_rate=0.0, rng=None, name="link"):
@@ -37,7 +39,7 @@ class Link:
         self.name = name
         self._deliver = deliver
         self._rng = rng
-        self._queue = deque()  # (packet, done-waitable or None) entries
+        self._queue = deque()  # (packet, on_sent callable or None) entries
         self._idle = False  # serializer free with nothing queued
         self._current = None  # the entry on the wire
         self._delay = 0.0  # its serialization delay
@@ -58,14 +60,18 @@ class Link:
         """
         self.admin_up = bool(up)
 
-    def transmit(self, packet):
-        """Queue a packet for transmission (never blocks the caller)."""
-        self._put((packet, None))
+    def transmit(self, packet, on_sent=None):
+        """Queue a packet for transmission (never blocks the caller).
+
+        ``on_sent(packet)``, when given, runs inline in the instant the
+        packet leaves the wire, before its propagation is scheduled.
+        """
+        self._put((packet, on_sent))
 
     def transmit_blocking(self, packet):
         """Queue a packet; the returned waitable fires when it leaves the wire."""
         done = self.sim.waitable()
-        self._put((packet, done))
+        self._put((packet, done.succeed))
         return done
 
     @property
@@ -81,14 +87,14 @@ class Link:
     def _put(self, entry):
         if self._idle:
             self._idle = False
-            self.sim._soon1(self._send, entry)
+            self._send(entry)
         else:
             self._queue.append(entry)
 
     def _next(self, _arg=None):
-        """The serializer is free: take the next packet one hop later."""
+        """The serializer is free: start the next queued packet at once."""
         if self._queue:
-            self.sim._soon1(self._send, self._queue.popleft())
+            self._send(self._queue.popleft())
         else:
             self._idle = True
 
@@ -96,19 +102,16 @@ class Link:
         delay = self.serialization_delay(entry[0])
         self._current = entry
         self._delay = delay
-        self.sim._at(delay, self._sent, None)
-
-    def _sent(self, _arg):
-        """Serialization timer fired: finish the packet one hop later."""
-        self.sim._soon1(self._finish, None)
+        self.sim._at(delay, self._finish, None)
 
     def _finish(self, _arg):
-        packet, done = self._current
+        """Serialization timer fired: the packet has left the wire."""
+        packet, on_sent = self._current
         self.busy_time += self._delay
         self.tx_packets += 1
         self.tx_bytes += packet.wire_size
-        if done is not None:
-            done.succeed(packet)
+        if on_sent is not None:
+            on_sent(packet)
         if not self.admin_up:
             self.admin_dropped += 1
         elif self.loss_rate and self._rng.random() < self.loss_rate:

@@ -13,10 +13,11 @@ class Nic:
     waitable returned by :meth:`enqueue` completes on space), which is
     how transmit backpressure reaches the socket layer.
 
-    The pump is a callback state machine with the same engine hops as the
-    generator process it replaced (``docs/performance.md``): a start hop,
-    a delivery hop for each packet it takes off the ring, and one when
-    the port has sent it.
+    The pump is a callback state machine (``docs/performance.md``).  It
+    takes a ready packet off the ring and hands it to the port in the
+    same instant, both after its start hop and in the instant the port
+    finishes the previous packet; only a pump parked on an empty ring
+    costs an engine event, the delivery hop of the put that wakes it.
 
     RX side: the fabric calls :meth:`receive`; the NIC hands the packet to
     the kernel's registered ``rx_handler`` (interrupt context).
@@ -60,18 +61,26 @@ class Nic:
             return
         self.rx_handler(packet)
 
-    def _pull(self, _arg):
-        """The pump is free: take the next packet off the ring.
+    def _pull(self, _sent):
+        """The pump is free: send the next ready packet, or park.
 
-        ``Store.get`` admits blocked putters before the callback is added,
-        so they get their engine seqs first, and a ready packet still
-        takes its delivery hop.
+        ``Store.try_get`` admits blocked putters before the packet goes
+        to the port, as ``Store.get`` does, so they get their engine
+        seqs first.  An empty ring parks the pump on a ``get``.
         """
-        self._ring.get().add_callback(self._send)
+        ready, packet = self._ring.try_get()
+        if ready:
+            self._send(packet)
+        else:
+            self._ring.get().add_callback(self._wake)
 
-    def _send(self, got):
-        """Hand the taken packet to the port; pull again once it is sent."""
+    def _wake(self, got):
+        """A put reached the parked pump."""
+        self._send(got.value)
+
+    def _send(self, packet):
+        """Hand ``packet`` to the port; pull again once it is sent."""
         if self._port is None:
             raise SimError("NIC {} transmitting while unattached".format(self.name))
         self.tx_packets += 1
-        self._port.transmit_blocking(got.value).add_callback(self._pull)
+        self._port.transmit(packet, self._pull)

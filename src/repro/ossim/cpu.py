@@ -14,11 +14,11 @@ reaches the requested amount, letting callers backfill precise per-layer
 event timestamps for contiguous segments.
 
 A core is a callback state machine, not a simulation process: a slice
-is one timer on the engine, and the handful of methods below stand in
-for the resumes of the generator loop it replaced.  They allocate an
-engine event exactly where that loop did (the start hop, a wake, the
-slice timer and its delivery hop, a preempt hop), because same-time
-events run in ``seq`` order; ``docs/performance.md`` has the table.
+is one timer on the engine, and the slice is accounted in the timer's
+own event.  Besides that timer a core allocates an engine event for
+its start hop, for a wake of a parked core and for a preempt, because
+same-time events run in ``seq`` order and those hops decide who runs
+first in a tied instant; ``docs/performance.md`` has the table.
 """
 
 from collections import deque
@@ -35,10 +35,10 @@ _SWITCH = (tp.SCHED_SWITCH,)
 class WorkItem:
     __slots__ = (
         "task", "remaining", "total", "mode", "band", "done",
-        "started_at", "submitted_at", "attribution",
+        "started_at", "attribution",
     )
 
-    def __init__(self, task, amount, mode, band, done, submitted_at, attribution):
+    def __init__(self, task, amount, mode, band, done, attribution):
         self.task = task
         self.remaining = amount
         self.total = amount
@@ -46,7 +46,6 @@ class WorkItem:
         self.band = band
         self.done = done
         self.started_at = None
-        self.submitted_at = submitted_at
         # Ledger category tag: None (default by task/mode), a category
         # string, or a composite (category, base, probe, analyzer) whose
         # seconds sum to amount.
@@ -112,7 +111,7 @@ class Cpu:
         if amount <= _EPSILON:
             done.succeed((self.sim.now, self.sim.now))
             return done
-        item = WorkItem(task, amount, mode, band, done, self.sim.now, attribution)
+        item = WorkItem(task, amount, mode, band, done, attribution)
         self._queues[band].append(item)
         running = self._running
         if running is None:
@@ -177,7 +176,7 @@ class Cpu:
         self._overhead = overhead
         self._slice = slice_target
         epoch = self._epoch = self._epoch + 1
-        sim._at(overhead + slice_target, self._timer, epoch)
+        sim._at(overhead + slice_target, self._slice_done, epoch)
 
     def _wake(self, epoch):
         """Start hop or wake: the core leaves idle unless a preempt
@@ -185,12 +184,9 @@ class Cpu:
         if epoch == self._epoch:
             self._next()
 
-    def _timer(self, epoch):
-        """The slice timer fired: deliver the slice end one hop later."""
-        if epoch == self._epoch:
-            self.sim._soon1(self._slice_done, epoch)
-
     def _slice_done(self, epoch):
+        """The slice timer fired: account the slice and start the next,
+        unless a preempt already cut this slice short."""
         if epoch == self._epoch:
             self._account(self._slice, self._overhead, False)
             self._next()
@@ -198,9 +194,11 @@ class Cpu:
     def _preempt(self, _arg):
         """A higher band arrived: cut the slice short where it stands.
 
-        The preempt may land after the slice timer fired but before its
-        delivery, or after the core went idle (a sibling stole the item
-        that caused it); either way the pending hop goes stale.
+        The slice's pending timer goes stale.  A preempt queued in the
+        instant that timer fires lands after the slice is accounted and
+        cuts the next slice at zero elapsed time.  A preempt may also land
+        on a core that already went idle (a sibling stole the item that
+        caused it), where a pending wake goes stale instead.
         """
         self._epoch += 1
         if self._running is None:

@@ -67,10 +67,10 @@ class NetStack:
                 frames=frames,
                 meta=message.meta,
             )
+            # A grant or ring slot that is already triggered succeeded
+            # (only pending waiters can fail), so the task runs on.
             grant = sock.tx_credits.acquire(max(size, 1))
-            if grant.triggered:
-                yield grant
-            else:
+            if not grant.triggered:
                 # Flow-control stall: the receiver's kernel buffer is full.
                 yield from self.kernel.block_wait(task, grant, reason="sndbuf")
             # Probes fire per wire frame in the real system; an aggregated
@@ -88,9 +88,7 @@ class NetStack:
             self.tx_packets += 1
             sock.bytes_sent += size
             ring = self.nic.enqueue(packet)
-            if ring.triggered:
-                yield ring
-            else:
+            if not ring.triggered:
                 yield from self.kernel.block_wait(task, ring, reason="txring")
             seq += 1
             if last:

@@ -37,6 +37,35 @@ def test_link_blocking_transmit_signals_completion(sim):
     assert done.triggered  # after serialization, before propagation ends
 
 
+def test_link_on_sent_runs_inline_before_propagation(sim):
+    """``on_sent(packet)`` runs in the serialization timer's own event:
+    no engine event is allocated for it, and the packet's propagation is
+    scheduled only after it returns."""
+    log = []
+    link = Link(sim, bandwidth_bps=8_000_000, latency=0.0,
+                deliver=lambda p: log.append(("deliver", p, sim.now)))
+    sim.run()  # the link's start hop
+    before = sim.stats()["events_scheduled"]
+    packet = _packet(size=1000 - Packet.HEADER_BYTES)
+    link.transmit(packet, lambda sent: log.append(
+        ("sent", sent, sim.now, sim.stats()["events_scheduled"] - before)))
+    sim.run()
+    # One event (the timer) before on_sent, one more (the propagation) after.
+    assert log == [("sent", packet, 1e-3, 1), ("deliver", packet, 1e-3)]
+    assert sim.stats()["events_scheduled"] - before == 2
+
+
+def test_link_blocking_waitables_fire_once_each(sim):
+    link = Link(sim, bandwidth_bps=8_000_000, latency=5e-3, deliver=lambda p: None)
+    packets = [_packet(size=1000 - Packet.HEADER_BYTES) for _ in range(2)]
+    fired = []
+    for packet in packets:
+        link.transmit_blocking(packet).add_callback(
+            lambda done: fired.append((done.value, sim.now)))
+    sim.run()
+    assert fired == [(packets[0], 1e-3), (packets[1], 2e-3)]
+
+
 def test_link_loss_drops_packets(sim):
     rng = RandomStreams(3).stream("loss")
     delivered = []

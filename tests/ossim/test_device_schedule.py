@@ -2,9 +2,12 @@
 
 Same-time events run in engine ``seq`` order, so when a CPU core or a
 link serializer allocates an event changes what runs first in a tied
-instant.  The script below drives a 1-core node, a 2-core node and one
+instant.  A slice is accounted in its timer's own event, so a preempt
+queued in the instant a slice timer fires always lands after that slice
+is accounted, and a link finishes a packet in its serialization timer's
+event.  The script below drives a 1-core node, a 2-core node and one
 link through the tied instants that matter -- a preempt in the instant
-a slice ends (before and after the slice timer's delivery), two
+a slice ends (queued before and after the slice timer fires), two
 preempts in one instant, a preempt that lands on a core already gone
 idle (with and without a wake in between), quantum requeue, affinity
 pinning, work stealing, and a packet queued in the instant the
@@ -64,14 +67,15 @@ def _device_schedule():
     at(0, run, cpu, "u1", u1, 96)
     at(0, run, cpu, "u2", u2, 32)
     # A preempt in the instant u1's first slice ends, queued before the
-    # slice timer: it lands after the timer fires, before its delivery.
+    # slice timer fires: the timer accounts the slice and starts irq-a
+    # first, and the preempt then cuts irq-a's slice at zero elapsed time.
     at(65, run, cpu, "irq-a", None, 16, "kernel", BAND_IRQ)
 
-    # A preempt in the instant a slice ends, queued after the slice
-    # timer: the slice completes first and the preempt cuts the next
-    # slice at zero elapsed time.
+    # A preempt in the instant u2's slice ends, queued after the slice
+    # timer fired: again the slice completes first and the preempt cuts
+    # the next one (u1's) at zero elapsed time.
     def preempt_after_timer():
-        at(113, run, cpu, "k-b", k1, 8, "kernel")
+        at(114, run, cpu, "k-b", k1, 8, "kernel")
 
     at(100, preempt_after_timer)
 
@@ -93,26 +97,22 @@ def _device_schedule():
     at(0, run, cores, "free3", task(smp, "free3"), 32)
 
     # Both cores end a slice at 577 ticks, core 1's timer pushed first.
-    # A kernel-band item placed on core 0 then preempts it; core 1
-    # finishes first and steals the item, so core 0 goes idle before the
-    # preempt lands.  A wake for core 0 is queued between the two.
+    # A kernel-band item submitted in that instant before either timer
+    # fires lands on core 0 and queues a preempt.  Core 1's slice ends
+    # first and it steals the item, so core 0 parks before the preempt
+    # lands.  A submit to core 0 between the two queues a wake, which the
+    # preempt overtakes.
     at(512, run, cores.core(1), "b", task(smp, "b"), 64)
     at(512, run, cores.core(0), "a", task(smp, "a"), 64)
-
-    def steal_then_idle_preempt_with_wake():
-        sim.call_soon(run, cores.core(0), "x", task(smp, "x"), 16)
-        run(cores, "k-steal", task(smp, "k-steal", band=BAND_KERNEL), 32, "kernel")
-
-    at(540, lambda: at(577, steal_then_idle_preempt_with_wake))
+    at(577, run, cores, "k-steal", task(smp, "k-steal", band=BAND_KERNEL), 32, "kernel")
+    at(540, lambda: at(577, run, cores.core(0), "x", task(smp, "x"), 16))
 
     # The same without the wake: the idle core re-parks, and a later
     # submit wakes it.
     at(768, run, cores.core(1), "b2", task(smp, "b2"), 64)
     at(768, run, cores.core(0), "a2", task(smp, "a2"), 64)
-    at(800, lambda: at(
-        833, run, cores, "k-steal2", task(smp, "k-steal2", band=BAND_KERNEL), 32,
-        "kernel",
-    ))
+    at(833, run, cores, "k-steal2", task(smp, "k-steal2", band=BAND_KERNEL), 32,
+       "kernel")
     at(896, run, cores.core(0), "y", task(smp, "y"), 16)
 
     # -- one link ------------------------------------------------------
@@ -141,7 +141,8 @@ def _device_schedule():
     # Queued in the instant l1 finishes, before its timer fires.
     at(128, link.transmit, packet("l2", 192))
 
-    # Queued in the instant a packet finishes, after its timer fired.
+    # Queued in the instant a packet finishes, after its timer fired: the
+    # serializer is already idle and starts it at once.
     def queue_after_timer():
         at(864, link.transmit, packet("l3", 96))
 
