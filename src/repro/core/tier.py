@@ -23,17 +23,28 @@ from collections import deque
 
 from repro.core import encoding
 from repro.core.channels import SYSPROF_PORT_BASE
+from repro.core.cpa import CPA_FORMAT
+from repro.core.lpa import (
+    CLASS_SUMMARY_FORMAT,
+    INTERACTION_FORMAT,
+    NODE_STATS_FORMAT,
+    SKETCH_FORMAT,
+    SYSCALL_STATS_FORMAT,
+)
 from repro.observability.sketches import SketchStore
 
-#: Record formats a tier subscribes to (in channel-subscription order).
-TIER_FORMATS = (
-    "sysprof.interaction",
-    "sysprof.class_summary",
-    "sysprof.nodestats",
-    "sysprof.cpa",
-    "sysprof.syscalls",
-    "sysprof.sketch",
-)
+#: Record formats a tier subscribes to, ``name -> (field, type)``
+#: pairs, in channel-subscription order.  The store reads a record of a
+#: known name by these fields, so a frame whose format reuses a name
+#: with other fields is a decode error; other names pass through.
+TIER_FORMATS = dict((
+    INTERACTION_FORMAT,
+    CLASS_SUMMARY_FORMAT,
+    NODE_STATS_FORMAT,
+    CPA_FORMAT,
+    SYSCALL_STATS_FORMAT,
+    SKETCH_FORMAT,
+))
 
 
 class CausalPath:
@@ -471,6 +482,10 @@ class AnalyzerTier:
                 try:
                     fmt, rows = decoder.feed(blob)
                 except (KeyError, ValueError):
+                    self.decode_errors += 1
+                    continue
+                fields = TIER_FORMATS.get(fmt.name)
+                if fields is not None and fmt.fields != fields:
                     self.decode_errors += 1
                     continue
                 self.frame_decoder.frames_decoded += 1

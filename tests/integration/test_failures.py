@@ -125,6 +125,23 @@ def test_struct_rejected_descriptor_counted_and_connection_keeps_ingesting():
     assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
 
 
+def test_known_name_with_other_fields_counted_and_connection_keeps_ingesting():
+    """Regression: a well-formed descriptor that reuses a known format
+    name with other fields reached the store, whose ``node`` lookup
+    raised KeyError out of ``cluster.run()``."""
+    cluster, sysprof = build_monitored_pair()
+    descriptor, frame = _probe_stream(sysprof.lpa("server").record_format)
+    impostor = FormatRegistry().register("sysprof.interaction", (("x", "u32"),))
+    _send_on_one_connection(cluster, [
+        ("sysprof-fmt", impostor.describe()),
+        ("sysprof-frame", encode_frame(impostor, [{"x": 7}])),
+        ("sysprof-fmt", descriptor),
+        ("sysprof-frame", frame),
+    ])
+    assert sysprof.gpa.decode_errors == 1
+    assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
+
+
 @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
 def test_zero_width_frame_counted_and_connection_keeps_ingesting(
     numpy, monkeypatch
