@@ -23,6 +23,12 @@ import threading
 
 from repro.service.supervisor import PROTOCOL_VERSION
 
+#: Longest request line the server reads, in characters, far above any
+#: real request.  A longer line gets one error response, and then the
+#: connection closes, so no client can make the server buffer an
+#: unbounded line.
+MAX_LINE = 1 << 20
+
 
 def encode(message):
     """One wire line for ``message`` (compact separators, no newline)."""
@@ -125,7 +131,17 @@ class _Connection:
     def reader_loop(self):
         try:
             buffer = self.sock.makefile("r", encoding="utf-8", newline="\n")
-            for line in buffer:
+            while True:
+                line = buffer.readline(MAX_LINE + 1)
+                if not line:
+                    break
+                if len(line) > MAX_LINE and not line.endswith("\n"):
+                    self.send({
+                        "v": PROTOCOL_VERSION, "ok": False,
+                        "error": "request line longer than {} characters".format(
+                            MAX_LINE),
+                    })
+                    break
                 line = line.strip()
                 if not line:
                     continue

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.service import ServiceServer, SocketClient, Supervisor
-from repro.service.server import encode
+from repro.service.server import MAX_LINE, encode
 
 
 @pytest.fixture
@@ -76,6 +76,28 @@ def test_subscribe_with_non_object_params_gets_an_error_response(served):
         assert response["id"] == 3 and response["ok"] is True
     finally:
         raw.close()
+
+
+def test_over_long_line_gets_an_error_response_then_eof(served):
+    """A request line longer than MAX_LINE is answered once and the
+    connection closes, instead of the server buffering it unbounded;
+    other clients keep being served."""
+    _supervisor, server = served
+    raw = socket.create_connection((server.host, server.port), timeout=10)
+    try:
+        raw.sendall(b"x" * (MAX_LINE + 1))
+        lines = raw.makefile("r")
+        response = json.loads(lines.readline())
+        assert response["ok"] is False
+        assert "longer than" in response["error"]
+        assert lines.readline() == ""
+    finally:
+        raw.close()
+    client = SocketClient(server.host, server.port, timeout=10)
+    try:
+        assert client.call("ping")["scenario"] == "synthetic"
+    finally:
+        client.close()
 
 
 def test_stop_ends_the_accept_thread_at_once():
