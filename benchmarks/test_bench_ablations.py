@@ -185,7 +185,7 @@ def test_encoding_cost(once):
             )
             mbps = run_iperf(cluster, "tx", "rx", duration=0.25).mbps
             daemon = sysprof.monitor("rx").daemon
-            results[label] = (mbps, daemon.bytes_published,
+            results[label] = (mbps, daemon.publisher.bytes_published,
                               daemon.records_published)
         return results
 
@@ -228,7 +228,8 @@ def test_hierarchical_analysis(once):
             run_iperf(cluster, "tx", "rx", duration=0.25)
             sysprof.flush()
             daemon = sysprof.monitor("rx").daemon
-            results[label] = (daemon.records_published, daemon.bytes_published)
+            results[label] = (daemon.records_published,
+                              daemon.publisher.bytes_published)
         return results
 
     results = once(run)

@@ -33,9 +33,7 @@ class DisseminationDaemon:
 
     def __init__(self, node, hub, registry=None, eviction_interval=0.25,
                  name="sysprofd", channel_prefix="sysprof/", data_filter=None,
-                 text_encoding=False, affinity=None,
-                 reconnect_backoff_base=0.05, reconnect_backoff_cap=2.0,
-                 reconnect_backoff_jitter=0.25, reconnect_max_retries=12):
+                 text_encoding=False, affinity=None):
         self.node = node
         self.hub = hub
         self.registry = registry or encoding.FormatRegistry()
@@ -54,10 +52,6 @@ class DisseminationDaemon:
         self.publisher = ChannelPublisher(
             node, hub, channel_prefix=channel_prefix,
             rng_label="sysprofd.backoff.{}".format(node.name),
-            reconnect_backoff_base=reconnect_backoff_base,
-            reconnect_backoff_cap=reconnect_backoff_cap,
-            reconnect_backoff_jitter=reconnect_backoff_jitter,
-            reconnect_max_retries=reconnect_max_retries,
             pid_fn=lambda: self.task.pid if self.task else 0,
         )
         self._pending_get = None  # the _run loop's parked notification get()
@@ -65,87 +59,6 @@ class DisseminationDaemon:
         self.records_published = 0
         self.records_filtered = 0
         self._stopped = False
-
-    # -- publisher delegation (tests and /proc read these off the daemon) --
-
-    @property
-    def channel_prefix(self):
-        return self.publisher.channel_prefix
-
-    @channel_prefix.setter
-    def channel_prefix(self, value):
-        self.publisher.channel_prefix = value
-
-    @property
-    def _sockets(self):
-        return self.publisher._sockets
-
-    @property
-    def _formats_sent(self):
-        return self.publisher._formats_sent
-
-    @property
-    def _backoff(self):
-        return self.publisher._backoff
-
-    @property
-    def bytes_published(self):
-        return self.publisher.bytes_published
-
-    @property
-    def publishes(self):
-        return self.publisher.publishes
-
-    @property
-    def frames_published(self):
-        return self.publisher.frames_published
-
-    @property
-    def format_sends(self):
-        return self.publisher.format_sends
-
-    @property
-    def send_errors(self):
-        return self.publisher.send_errors
-
-    @property
-    def connect_attempts(self):
-        return self.publisher.connect_attempts
-
-    @property
-    def reconnects(self):
-        return self.publisher.reconnects
-
-    @property
-    def backoff_skips(self):
-        return self.publisher.backoff_skips
-
-    @property
-    def endpoints_abandoned(self):
-        return self.publisher.endpoints_abandoned
-
-    @property
-    def parent_link(self):
-        """The reparent/return state machine, when federated (else None)."""
-        return self.publisher.parent_link
-
-    @property
-    def reconnect_backoff_base(self):
-        return self.publisher.reconnect_backoff_base
-
-    @property
-    def reconnect_backoff_cap(self):
-        return self.publisher.reconnect_backoff_cap
-
-    @property
-    def reconnect_backoff_jitter(self):
-        return self.publisher.reconnect_backoff_jitter
-
-    @property
-    def reconnect_max_retries(self):
-        return self.publisher.reconnect_max_retries
-
-    # ------------------------------------------------------------------
 
     def add_lpa(self, lpa):
         """Attach an analyzer: its buffer-full notifications come here."""
@@ -344,42 +257,25 @@ class DisseminationDaemon:
             "daemon={} node={}".format(self.name, self.node.name),
             "records_published={}".format(self.records_published),
             "records_filtered={}".format(self.records_filtered),
-            "bytes_published={}".format(self.bytes_published),
-            "publishes={}".format(self.publishes),
-            "frames_published={}".format(self.frames_published),
-            "format_sends={}".format(self.format_sends),
-            "send_errors={}".format(self.send_errors),
-            "connect_attempts={}".format(self.connect_attempts),
-            "reconnects={}".format(self.reconnects),
-            "backoff_skips={}".format(self.backoff_skips),
-            "endpoints_abandoned={}".format(self.endpoints_abandoned),
-            "lpas={}".format(",".join(lpa.name for lpa in self.lpas)),
         ]
+        for key, value in self.publisher.stats().items():
+            if key != "parent_link":
+                lines.append("{}={}".format(key, value))
+        lines.append("lpas={}".format(",".join(lpa.name for lpa in self.lpas)))
         return "\n".join(lines) + "\n"
 
     def stats(self):
-        result = {
+        return {
             "records_published": self.records_published,
             "records_filtered": self.records_filtered,
-            "bytes_published": self.bytes_published,
-            "publishes": self.publishes,
-            "frames_published": self.frames_published,
-            "format_sends": self.format_sends,
-            "send_errors": self.send_errors,
-            "connect_attempts": self.connect_attempts,
-            "reconnects": self.reconnects,
-            "backoff_skips": self.backoff_skips,
-            "endpoints_abandoned": self.endpoints_abandoned,
+            # The publisher's counters, and its parent link's when
+            # federated: sysprof.daemon.<node>.parent_link.* metrics.
+            **self.publisher.stats(),
             # Gauge: the controller's drill-down lever moves this at
             # runtime, and the diagnosis experiment asserts it is raised
             # then restored.
             "eviction_interval": self.eviction_interval,
         }
-        if self.publisher.parent_link is not None:
-            # Reparent events surface per node as
-            # sysprof.daemon.<node>.parent_link.* metrics.
-            result["parent_link"] = self.publisher.parent_link.stats()
-        return result
 
 
 def _render_lpa(lpa):

@@ -285,9 +285,7 @@ class ZoneGpa(AnalyzerTier):
 
     def __init__(self, zone, node, hub, clock_table=None, port=SYSPROF_PORT_BASE,
                  history=20000, stale_threshold=1.0, parent_prefix="sysprof/",
-                 forward_interval=0.5,
-                 reconnect_backoff_base=0.05, reconnect_backoff_cap=2.0,
-                 reconnect_backoff_jitter=0.25, reconnect_max_retries=12):
+                 forward_interval=0.5):
         zone_node = ZONE_NODE_PREFIX + zone
         if len(zone_node) > 16:
             raise ValueError(
@@ -308,10 +306,6 @@ class ZoneGpa(AnalyzerTier):
         self.publisher = ChannelPublisher(
             node, hub, channel_prefix=parent_prefix,
             rng_label="zonegpa.backoff.{}".format(node.name),
-            reconnect_backoff_base=reconnect_backoff_base,
-            reconnect_backoff_cap=reconnect_backoff_cap,
-            reconnect_backoff_jitter=reconnect_backoff_jitter,
-            reconnect_max_retries=reconnect_max_retries,
             pid_fn=lambda: self._forward_task.pid if self._forward_task else 0,
         )
         # Formats this tier *produces* (separate from the ingest registry,
@@ -330,15 +324,6 @@ class ZoneGpa(AnalyzerTier):
         self.sketch_merges = 0
 
     # -- lifecycle -------------------------------------------------------
-
-    @property
-    def parent_link(self):
-        return self.publisher.parent_link
-
-    def attach_parent_link(self, link):
-        """Install a :class:`ParentLink` on the upward publisher."""
-        self.publisher.parent_link = link
-        return link
 
     def _start_aux(self):
         self._forward_task = self.node.spawn("zone-gpa-fwd", self._forwarder)

@@ -15,6 +15,16 @@ unchanged).
 
 from repro.observability import tracer as _trace
 
+#: Reconnect pacing toward a dead or unreachable subscriber.  After its
+#: n-th consecutive failure an endpoint waits
+#: ``min(CAP, BASE * 2**(n-1)) * (1 + JITTER * u)`` seconds, ``u`` drawn
+#: from the publisher's seeded substream, before the next connect; past
+#: ``RECONNECT_MAX_RETRIES`` failures it is abandoned until revived.
+RECONNECT_BACKOFF_BASE = 0.05
+RECONNECT_BACKOFF_CAP = 2.0
+RECONNECT_BACKOFF_JITTER = 0.25
+RECONNECT_MAX_RETRIES = 12
+
 
 class _EndpointBackoff:
     """Retry state for one unreachable subscriber endpoint."""
@@ -31,16 +41,10 @@ class ChannelPublisher:
     """Publishes encoded frames to every subscriber of a channel."""
 
     def __init__(self, node, hub, channel_prefix="sysprof/", rng_label=None,
-                 reconnect_backoff_base=0.05, reconnect_backoff_cap=2.0,
-                 reconnect_backoff_jitter=0.25, reconnect_max_retries=12,
                  pid_fn=None):
         self.node = node
         self.hub = hub
         self.channel_prefix = channel_prefix
-        self.reconnect_backoff_base = reconnect_backoff_base
-        self.reconnect_backoff_cap = reconnect_backoff_cap
-        self.reconnect_backoff_jitter = reconnect_backoff_jitter
-        self.reconnect_max_retries = reconnect_max_retries
         self._rng_label = rng_label or "sysprofd.backoff.{}".format(node.name)
         self._pid_fn = pid_fn  # task pid for trace events, when tracing
         # Optional ParentLink (federation reparenting): notified on every
@@ -205,17 +209,16 @@ class ChannelPublisher:
         if state is None:
             state = self._backoff[endpoint] = _EndpointBackoff()
         state.failures += 1
-        if state.failures > self.reconnect_max_retries:
+        if state.failures > RECONNECT_MAX_RETRIES:
             if not state.abandoned:
                 state.abandoned = True
                 self.endpoints_abandoned += 1
             return state
         delay = min(
-            self.reconnect_backoff_cap,
-            self.reconnect_backoff_base * (2.0 ** (state.failures - 1)),
+            RECONNECT_BACKOFF_CAP,
+            RECONNECT_BACKOFF_BASE * (2.0 ** (state.failures - 1)),
         )
-        if self.reconnect_backoff_jitter:
-            delay *= 1.0 + self.reconnect_backoff_jitter * self._jitter_rng().random()
+        delay *= 1.0 + RECONNECT_BACKOFF_JITTER * self._jitter_rng().random()
         state.next_attempt_at = self.node.sim.now + delay
         return state
 

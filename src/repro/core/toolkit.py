@@ -15,7 +15,7 @@ reach for::
     summary = sysprof.gpa.node_summary("proxy")
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.channels import (
     SYSPROF_PORT_BASE,
@@ -41,27 +41,30 @@ from repro.observability.metrics import build_registry
 
 @dataclass
 class SysProfConfig:
-    """Tunables for an installation (the controller can change most at runtime)."""
+    """Tunables for an installation (the controller can change most at runtime).
+
+    Only settings that some workload, experiment or deployment sets to
+    more than one value live here.  The rest are the defaults of the
+    component that owns them: ``InteractionLPA``'s window and idle
+    timeout, ``SketchLPA``'s error bound and bucket cap, the GPA's port
+    and history, the publisher's reconnect constants, and
+    ``ParentLink``'s loss budget and probe jitter.  Traffic on the
+    SysProf port range is never monitored, and every zone member and
+    zone uplink gets a parent link whose lease is four publish intervals.
+    """
 
     buffer_capacity: int = 256
-    window_size: int = 128
     eviction_interval: float = 0.25
     granularity: str = "interaction"
-    idle_timeout: float = 1.0
     nodestats: bool = True
     syscall_stats: bool = False  # per-syscall latency aggregation LPA
     # Streaming quantile sketches per request class (latency + queue
     # depth), shipped as sysprof.sketch rows and merged at the GPA.
     latency_sketches: bool = False
-    sketch_alpha: float = 0.01      # relative-error bound per sketch
-    sketch_max_buckets: int = 256   # bucket-table cap before collapse
     # Seconds without nodestats before gpa.stale_nodes() flags a node
     # (also the default threshold for staleness SLO rules).
     stale_threshold: float = 1.0
     arm_correlation: bool = False  # pair interleaved requests by ARM token
-    exclude_self_traffic: bool = True
-    gpa_port: int = SYSPROF_PORT_BASE
-    gpa_history: int = 50000
     dump_path: str = None
     dump_interval: float = None
     text_encoding: bool = False  # ablation: ship text instead of PBIO binary
@@ -73,24 +76,11 @@ class SysProfConfig:
     # at scale; 0.0 keeps the historical everyone-at-once behavior.
     forward_interval: float = 0.5
     eviction_stagger: float = 0.0
-    # Daemon reconnect pacing towards dead/unreachable subscribers.
-    reconnect_backoff_base: float = 0.05
-    reconnect_backoff_cap: float = 2.0
-    reconnect_backoff_jitter: float = 0.25
-    reconnect_max_retries: int = 12
     # Federation reparenting: member daemons and child zones that lose
-    # their parent tier (publish failures past parent_loss_failures, or
-    # a lease timeout) fail over to the zone's standby prefix / the root
-    # and probe their way back with seeded-jitter backoff.
-    reparent: bool = True
-    parent_loss_failures: int = 3
-    # None -> derived per link: 4x the publish interval (eviction
-    # interval for member daemons, forward interval for zone uplinks).
-    parent_lease_timeout: float = None
+    # their parent tier fail over to the zone's standby prefix / the
+    # root and probe their way back with this seeded-jitter backoff.
     reparent_probe_base: float = 0.5
     reparent_probe_cap: float = 4.0
-    reparent_probe_jitter: float = 0.5
-    extra: dict = field(default_factory=dict)
 
 
 class NodeMonitor:
@@ -172,7 +162,6 @@ class SysProf:
             node = self.cluster.node(gpa_node)
             self.gpa = GlobalPerformanceAnalyzer(
                 node, self.hub, clock_table=self.clock_table,
-                port=self.config.gpa_port, history=self.config.gpa_history,
                 dump_path=self.config.dump_path,
                 dump_interval=self.config.dump_interval,
                 stale_threshold=self.config.stale_threshold,
@@ -204,24 +193,19 @@ class SysProf:
         node = self.cluster.node(spec.gpa_node)
         zone_gpa = ZoneGpa(
             spec.name, node, self.hub, clock_table=self.clock_table,
-            port=config.gpa_port, stale_threshold=config.stale_threshold,
+            stale_threshold=config.stale_threshold,
             parent_prefix=parent_prefix,
             forward_interval=spec.forward_interval or config.forward_interval,
-            reconnect_backoff_base=config.reconnect_backoff_base,
-            reconnect_backoff_cap=config.reconnect_backoff_cap,
-            reconnect_backoff_jitter=config.reconnect_backoff_jitter,
-            reconnect_max_retries=config.reconnect_max_retries,
         )
         zone_gpa.members = list(spec.members)
         zone_gpa.standby = spec.standby
         zone_gpa.subscribe_all()
         self.federation.add(zone_gpa)
-        if config.reparent:
-            zone_gpa.attach_parent_link(self._build_parent_link(
-                zone_gpa.publisher, owner=zone_gpa.zone_node,
-                primary_prefix=parent_prefix, standby=parent_standby,
-                publish_interval=zone_gpa.forward_interval,
-            ))
+        zone_gpa.publisher.parent_link = self._build_parent_link(
+            zone_gpa.publisher, owner=zone_gpa.zone_node,
+            primary_prefix=parent_prefix, standby=parent_standby,
+            publish_interval=zone_gpa.forward_interval,
+        )
         for child in spec.children:
             child_spec = ZoneSpec(**child) if isinstance(child, dict) else child
             zone_gpa.children.append(child_spec.name)
@@ -234,12 +218,10 @@ class SysProf:
         """One reparent/return state machine per upward publisher.
 
         ``owner`` is the name adopted tiers track (a member node, or a
-        ``zone:<name>`` pseudo-node for a zone's own uplink).
+        ``zone:<name>`` pseudo-node for a zone's own uplink).  The lease
+        runs four publish intervals: the eviction interval for a member
+        daemon, the forward interval for a zone uplink.
         """
-        config = self.config
-        lease = config.parent_lease_timeout
-        if lease is None:
-            lease = 4.0 * publish_interval
         federation = self.federation
         return ParentLink(
             owner, publisher, self.hub,
@@ -247,11 +229,9 @@ class SysProf:
             standby_prefix=zone_channel_prefix(standby) if standby else None,
             standby_zone=standby,
             root_prefix=ROOT_PREFIX,
-            loss_failures=config.parent_loss_failures,
-            lease_timeout=lease,
-            probe_base=config.reparent_probe_base,
-            probe_cap=config.reparent_probe_cap,
-            probe_jitter=config.reparent_probe_jitter,
+            lease_timeout=4.0 * publish_interval,
+            probe_base=self.config.reparent_probe_base,
+            probe_cap=self.config.reparent_probe_cap,
             on_reparent=lambda zone, member=owner: federation.note_adopted(
                 member, zone
             ),
@@ -261,16 +241,11 @@ class SysProf:
     def _install_node(self, node, channel_prefix="sysprof/", standby=None):
         config = self.config
         kprof = Kprof(node.kernel).attach()
-        predicate = None
-        if config.exclude_self_traffic:
-            predicate = exclude_port_range(SYSPROF_PORT_BASE, SYSPROF_PORT_LIMIT)
         interaction_lpa = InteractionLPA(
             node.kernel, kprof,
             buffer_capacity=config.buffer_capacity,
-            window_size=config.window_size,
-            predicate=predicate,
+            predicate=exclude_port_range(SYSPROF_PORT_BASE, SYSPROF_PORT_LIMIT),
             granularity=config.granularity,
-            idle_timeout=config.idle_timeout,
             arm=config.arm_correlation,
         )
         affinity = config.daemon_affinity
@@ -282,12 +257,8 @@ class SysProf:
             channel_prefix=channel_prefix,
             text_encoding=config.text_encoding,
             affinity=affinity,
-            reconnect_backoff_base=config.reconnect_backoff_base,
-            reconnect_backoff_cap=config.reconnect_backoff_cap,
-            reconnect_backoff_jitter=config.reconnect_backoff_jitter,
-            reconnect_max_retries=config.reconnect_max_retries,
         )
-        if config.reparent and channel_prefix != ROOT_PREFIX:
+        if channel_prefix != ROOT_PREFIX:
             # Zone members reparent on zone-GPA loss; flat daemons keep
             # the historical publish path (there is nowhere to go).
             daemon.publisher.parent_link = self._build_parent_link(
@@ -310,11 +281,7 @@ class SysProf:
             daemon.add_lpa(syscall_lpa)
         sketch_lpa = None
         if config.latency_sketches:
-            sketch_lpa = SketchLPA(
-                node.kernel, kprof, interaction_lpa,
-                alpha=config.sketch_alpha,
-                max_buckets=config.sketch_max_buckets,
-            )
+            sketch_lpa = SketchLPA(node.kernel, kprof, interaction_lpa)
             interaction_lpa.sketches = sketch_lpa
             daemon.add_lpa(sketch_lpa)
         self.monitors[node.name] = NodeMonitor(

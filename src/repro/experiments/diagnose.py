@@ -55,7 +55,6 @@ class DiagnoseConfig:
     drill_factor: int = 4
     # -- monitoring plane ------------------------------------------------
     eviction_interval: float = 0.2
-    sketch_alpha: float = 0.01
     stale_threshold: float = 1.0
     # -- run -------------------------------------------------------------
     seed: int = 11
@@ -112,7 +111,6 @@ def run_diagnose_experiment(config=None):
         monitoring=SysProfConfig(
             eviction_interval=config.eviction_interval,
             latency_sketches=True,
-            sketch_alpha=config.sketch_alpha,
             stale_threshold=config.stale_threshold,
         ),
         rules=(config.rule,),

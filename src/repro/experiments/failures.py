@@ -137,7 +137,7 @@ def run_failure_experiment(config=None):
     fault_at = injector.log[0]["at"] if injector.log else config.fault_start
     detected_at = probe_state["detected_at"]
     recovered_at = probe_state["recovered_at"]
-    daemon = sysprof.monitor(target).daemon
+    publisher = sysprof.monitor(target).daemon.publisher
     return FailureRunResult(
         scenario=config.scenario,
         fault_at=fault_at,
@@ -146,11 +146,11 @@ def run_failure_experiment(config=None):
         detection_latency=(detected_at - fault_at) if detected_at else -1.0,
         recovered=recovered_at is not None,
         recovery_latency=(recovered_at - recovery_at) if recovered_at else -1.0,
-        send_errors=daemon.send_errors,
-        connect_attempts=daemon.connect_attempts,
-        reconnects=daemon.reconnects,
-        backoff_skips=daemon.backoff_skips,
-        endpoints_abandoned=daemon.endpoints_abandoned,
+        send_errors=publisher.send_errors,
+        connect_attempts=publisher.connect_attempts,
+        reconnects=publisher.reconnects,
+        backoff_skips=publisher.backoff_skips,
+        endpoints_abandoned=publisher.endpoints_abandoned,
         records_received=sysprof.gpa.records_received,
         injected=injector.summary(),
         trace_hash=trace_digest(sysprof.gpa.query_interactions()),

@@ -317,16 +317,11 @@ def run_partition_point(config=None, scenario="gpa", partition_start=1.0,
     with built:
         cluster.run(until=duration)
 
-    links = []
     if scenario == "gpa":
-        for member in target_members:
-            link = sysprof.monitors[member].daemon.parent_link
-            if link is not None:
-                links.append(link)
+        links = [sysprof.monitors[member].daemon.publisher.parent_link
+                 for member in target_members]
     else:
-        link = federation.zone(target).parent_link
-        if link is not None:
-            links.append(link)
+        links = [federation.zone(target).publisher.parent_link]
     partition_at = next(
         e["at"] for e in injector.log if e["kind"] == "parent_partition"
     )

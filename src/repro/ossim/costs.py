@@ -16,7 +16,7 @@ Experiments may override any field; every consumer takes the model as a
 constructor argument rather than reading globals.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -92,8 +92,6 @@ class CostModel:
     # the ledger's "analyzer" category so drill-down overhead is emergent.
     sketch_update: float = 0.3e-6
     sketch_merge: float = 2.0e-6
-
-    extra: dict = field(default_factory=dict)
 
     def override(self, **changes):
         """A copy of the model with the given fields replaced."""

@@ -84,14 +84,13 @@ class Scenario:
         """Every live reparent state machine (member daemons + zones)."""
         links = []
         for monitor in self.sysprof.monitors.values():
-            link = monitor.daemon.parent_link
+            link = monitor.daemon.publisher.parent_link
             if link is not None:
                 links.append(link)
         federation = self.sysprof.federation
         if federation is not None:
-            for zone_gpa in federation.all_zones():
-                if zone_gpa.parent_link is not None:
-                    links.append(zone_gpa.parent_link)
+            links.extend(zone_gpa.publisher.parent_link
+                         for zone_gpa in federation.all_zones())
         return links
 
     def close(self):

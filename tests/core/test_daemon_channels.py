@@ -102,7 +102,7 @@ def test_daemon_publishes_frames():
     cluster, sysprof = build_monitored_pair()
     drive_traffic(cluster, sysprof, count=6)
     daemon = sysprof.monitor("server").daemon
-    assert daemon.frames_published >= 1
+    assert daemon.publisher.frames_published >= 1
     gpa_stats = sysprof.gpa.stats()
     assert gpa_stats["frames_received"] >= 1
     assert gpa_stats["decode_errors"] == 0
@@ -145,7 +145,7 @@ def test_multiple_drains_coalesce_into_one_frame():
     # Two pending hand-offs queued, one per analyzer buffer.
     assert lpa.buffer.switches == 1 and extra.buffer.switches == 1
     cluster.run(until=0.4)
-    assert daemon.frames_published == 1
+    assert daemon.publisher.frames_published == 1
     assert daemon.records_published == 4
     assert sysprof.gpa.stats()["frames_received"] == 1
     assert len(sysprof.gpa.interactions) == 4
@@ -157,16 +157,16 @@ def test_format_descriptors_resent_after_reconnect():
     cluster, sysprof = build_monitored_pair()
     drive_traffic(cluster, sysprof, count=3)
     daemon = sysprof.monitor("server").daemon
-    sends_before = daemon.format_sends
+    sends_before = daemon.publisher.format_sends
     assert sends_before >= 1
-    for endpoint in list(daemon._sockets):
+    for endpoint in list(daemon.publisher._sockets):
         daemon.reset_endpoint(endpoint)
     from tests.core.helpers import request_client
 
     cluster.node("client").spawn("cli2", request_client, "server", 8080, 3)
     cluster.run(until=cluster.sim.now + 2.0)
     sysprof.flush()
-    assert daemon.format_sends > sends_before
+    assert daemon.publisher.format_sends > sends_before
     assert sysprof.gpa.stats()["decode_errors"] == 0
     assert len(sysprof.gpa.query_interactions(node="server")) == 6
 
@@ -192,5 +192,5 @@ def test_no_subscribers_means_local_only():
     daemon = sysprof.monitor("server").daemon
     # Records were collected and encoded, but nobody subscribed.
     assert daemon.records_published >= 4
-    assert daemon.publishes == 0
+    assert daemon.publisher.publishes == 0
     assert sysprof.lpa("server").tracker.interactions_emitted == 4

@@ -8,6 +8,7 @@ restart.
 """
 
 from repro.core import SysProfConfig
+from repro.core.publisher import RECONNECT_MAX_RETRIES
 from repro.experiments.common import trace_digest
 from repro.faults import FaultInjector, FaultSchedule
 from tests.core.helpers import build_monitored_pair, drive_traffic
@@ -21,6 +22,7 @@ def test_dead_subscriber_dials_are_backoff_bounded():
     """~60 publish wakeups against a dead GPA must not mean ~60 dials."""
     cluster, sysprof = build_monitored_pair()
     daemon = sysprof.monitor("server").daemon
+    publisher = daemon.publisher
     _advance(cluster, 0.2)  # let the first publishes connect normally
     sysprof.gpa.kill()
     _advance(cluster, 3.0)
@@ -28,16 +30,16 @@ def test_dead_subscriber_dials_are_backoff_bounded():
     # on the order of 60 times while the subscriber was down.  Backoff
     # caps actual dials near the retry budget; the rest are window skips.
     wakeups = int(3.0 / daemon.eviction_interval)
-    assert daemon.send_errors >= 1  # the established socket was reset
-    assert 1 <= daemon.connect_attempts - 1 <= daemon.reconnect_max_retries + 1
-    assert daemon.connect_attempts < wakeups // 2
-    assert daemon.backoff_skips > daemon.connect_attempts
-    assert daemon.stats()["backoff_skips"] == daemon.backoff_skips
+    assert publisher.send_errors >= 1  # the established socket was reset
+    assert 1 <= publisher.connect_attempts - 1 <= RECONNECT_MAX_RETRIES + 1
+    assert publisher.connect_attempts < wakeups // 2
+    assert publisher.backoff_skips > publisher.connect_attempts
+    assert daemon.stats()["backoff_skips"] == publisher.backoff_skips
 
 
 def test_formats_sent_does_not_grow_across_subscriber_restarts():
     cluster, sysprof = build_monitored_pair()
-    daemon = sysprof.monitor("server").daemon
+    publisher = sysprof.monitor("server").daemon.publisher
     for _ in range(3):
         _advance(cluster, 1.0)
         sysprof.gpa.kill()
@@ -46,9 +48,9 @@ def test_formats_sent_does_not_grow_across_subscriber_restarts():
     _advance(cluster, 1.0)
     # One subscriber endpoint -> at most one descriptor-set entry, ever.
     # (Before the fix this held one dead-socket tuple per restart.)
-    assert len(daemon._formats_sent) <= 1
-    assert len(daemon._sockets) <= 1
-    assert daemon.reconnects >= 3
+    assert len(publisher._formats_sent) <= 1
+    assert len(publisher._sockets) <= 1
+    assert publisher.reconnects >= 3
     assert sysprof.gpa.restarts == 3
 
 
@@ -57,7 +59,7 @@ def test_subscriber_death_mid_publish_and_recovery():
     cluster, sysprof = build_monitored_pair(
         config=SysProfConfig(eviction_interval=0.05)
     )
-    daemon = sysprof.monitor("server").daemon
+    publisher = sysprof.monitor("server").daemon.publisher
 
     from tests.core.helpers import echo_server, request_client
 
@@ -67,24 +69,24 @@ def test_subscriber_death_mid_publish_and_recovery():
     )
 
     _advance(cluster, 1.0)
-    format_sends_before = daemon.format_sends
+    format_sends_before = publisher.format_sends
     received_before = sysprof.gpa.records_received
     assert received_before > 0
 
     sysprof.gpa.kill()
     _advance(cluster, 0.5)
-    assert daemon.send_errors >= 1  # peer died mid-publish
-    assert daemon.backoff_skips >= 1  # retries were paced, not hammered
+    assert publisher.send_errors >= 1  # peer died mid-publish
+    assert publisher.backoff_skips >= 1  # retries were paced, not hammered
 
     sysprof.gpa.restart()
     _advance(cluster, 2.0)
     sysprof.flush()
-    assert daemon.reconnects >= 1
+    assert publisher.reconnects >= 1
     # The fresh connection re-learned the format descriptors...
-    assert daemon.format_sends > format_sends_before
+    assert publisher.format_sends > format_sends_before
     # ...and records flow into the restarted analyzer again.
     assert sysprof.gpa.records_received > received_before
-    assert daemon.endpoints_abandoned == 0
+    assert publisher.endpoints_abandoned == 0
     assert sysprof.gpa.stats()["restarts"] == 1
 
 

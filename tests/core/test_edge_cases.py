@@ -75,8 +75,8 @@ def test_daemon_resends_format_per_endpoint_once():
     daemon = sysprof.monitor("server").daemon
     # interaction + nodestats formats to a single endpoint: exactly one
     # descriptor each, on one tracked subscriber socket.
-    assert daemon.format_sends == 2
-    ((_sock, sent_names),) = daemon._formats_sent.values()
+    assert daemon.publisher.format_sends == 2
+    ((_sock, sent_names),) = daemon.publisher._formats_sent.values()
     assert sent_names == {"sysprof.interaction", "sysprof.nodestats"}
     assert sysprof.gpa.decode_errors == 0
 

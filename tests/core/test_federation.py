@@ -102,7 +102,7 @@ def test_zone_restart_resends_descriptors_both_tiers():
     zone = sysprof.federation.zone("r0")
     gpa = sysprof.gpa
     daemon = sysprof.monitor("r0n0").daemon
-    daemon_sends_before = daemon.format_sends
+    daemon_sends_before = daemon.publisher.format_sends
     zone_sends_before = zone.publisher.stats()["format_sends"]
     root_records_before = gpa.records_received
     zone.kill("test")
@@ -112,7 +112,7 @@ def test_zone_restart_resends_descriptors_both_tiers():
     assert zone.restarts == 1
     # Members reconnected and re-sent descriptors; the fresh registry
     # decoded everything.
-    assert daemon.format_sends > daemon_sends_before
+    assert daemon.publisher.format_sends > daemon_sends_before
     assert zone.decode_errors == 0
     assert sorted(zone.store.node_stats) == ["r0n0", "r0n1"]
     # The zone's upward publisher re-sent descriptors too, and the root

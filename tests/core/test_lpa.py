@@ -37,9 +37,8 @@ def test_kernel_wait_positive_and_reasonable():
 
 
 def test_window_size_bounds_snapshot():
-    cluster, sysprof = build_monitored_pair(
-        config=SysProfConfig(eviction_interval=0.05, window_size=4)
-    )
+    cluster, sysprof = build_monitored_pair()
+    sysprof.controller.set_window_size(4, node="server")
     drive_traffic(cluster, sysprof, count=10)
     assert len(sysprof.lpa("server").window_snapshot()) == 4
 

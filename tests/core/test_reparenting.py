@@ -225,21 +225,6 @@ def test_forward_failures_counted_only_with_live_subscribers():
         assert stats["parent_link"]["failed_over"] == 0
 
 
-def test_reparent_disabled_config_installs_no_links():
-    from repro.cluster import build_spine_leaf
-    from repro.core import SysProf, SysProfConfig
-
-    cluster = Cluster(seed=13)
-    topology = build_spine_leaf(cluster, racks=2, nodes_per_rack=2,
-                                mgmt_node="mgmt")
-    sysprof = SysProf(cluster, SysProfConfig(reparent=False))
-    specs = [ZoneSpec(name=rack.name, gpa_node=rack.gpa_node,
-                      members=list(rack.nodes)) for rack in topology.racks]
-    sysprof.install(zones=specs, gpa_node="mgmt")
-    assert sysprof.monitor("r0n0").daemon.parent_link is None
-    assert sysprof.federation.zone("r0").parent_link is None
-
-
 def test_unknown_standby_zone_rejected_at_install():
     from repro.cluster import build_spine_leaf
     from repro.core import SysProf, SysProfConfig

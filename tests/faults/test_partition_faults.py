@@ -41,7 +41,7 @@ def test_uplink_partition_retains_rollups_until_heal():
     # Mid-partition: ingest continues, upward delivery does not.
     assert zone.forward_failures > 0
     assert zone._pending_classes
-    link = zone.parent_link
+    link = zone.publisher.parent_link
     assert link.stats()["failed_over"] == 1
     assert link.events[0]["event"] == "probe-only"
     cluster.run(until=6.0)
@@ -77,14 +77,14 @@ def test_gpa_partition_reparents_members_to_standby():
     assert "r0n0" in standby._member_last
     for member in ("r0n0", "r0n1"):
         daemon = sysprof.monitor(member).daemon
-        assert daemon.channel_prefix == "sysprof@r1/"
+        assert daemon.publisher.channel_prefix == "sysprof@r1/"
         assert daemon.stats()["parent_link"]["failed_over"] == 1
     cluster.run(until=6.0)
     # Healed: everyone is back on the primary and the ledger is clean.
     assert federation.adopted == {}
     for member in ("r0n0", "r0n1"):
         daemon = sysprof.monitor(member).daemon
-        assert daemon.channel_prefix == "sysprof@r0/"
+        assert daemon.publisher.channel_prefix == "sysprof@r0/"
         assert daemon.stats()["parent_link"]["returns"] == 1
     # The standby released the adoptees: no ghost staleness or inflated
     # heartbeat sums linger in r1.
@@ -106,10 +106,10 @@ def test_gpa_partition_without_standby_escalates_to_root():
     federation = sysprof.federation
     assert federation.root_adopted() == ["r0n0", "r0n1"]
     assert "r0n0" in sysprof.gpa.node_stats
-    assert sysprof.monitor("r0n0").daemon.channel_prefix == "sysprof/"
+    assert sysprof.monitor("r0n0").daemon.publisher.channel_prefix == "sysprof/"
     cluster.run(until=6.0)
     assert federation.adopted == {}
-    assert sysprof.monitor("r0n0").daemon.channel_prefix == "sysprof@r0/"
+    assert sysprof.monitor("r0n0").daemon.publisher.channel_prefix == "sysprof@r0/"
     # The root released the returned members — their direct streams must
     # not rot into permanent staleness at the top of the tree.
     assert not sysprof.gpa.stale_nodes(cluster.sim.now)
