@@ -91,11 +91,12 @@ class FaultEvent:
     def validate(self):
         if self.kind not in KINDS:
             raise ScheduleError("unknown fault kind: {!r}".format(self.kind))
-        if self.at < 0.0:
+        # ``not x >= 0`` also refuses NaN, which every comparison fails.
+        if not self.at >= 0.0:
             raise ScheduleError(
                 "fault time must be >= 0, got {}".format(self.at)
             )
-        if self.jitter < 0.0:
+        if not self.jitter >= 0.0:
             raise ScheduleError("jitter must be >= 0")
         if self.kind in NODE_TARGET_KINDS and not self.target:
             raise ScheduleError("{} requires a target node".format(self.kind))
@@ -114,7 +115,7 @@ class FaultEvent:
                     )
                 )
         if self.kind == KIND_CPU_HOG:
-            if float(self.params.get("duration", 0.0)) <= 0.0:
+            if not float(self.params.get("duration", 0.0)) > 0.0:
                 raise ScheduleError("cpu_hog requires duration > 0")
             utilization = float(self.params.get("utilization", 1.0))
             if not 0.0 < utilization <= 1.0:
@@ -296,13 +297,32 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data):
+        """Rebuild a schedule from :meth:`to_dict` output.
+
+        The dict may come from outside the program (the control plane's
+        ``inject_fault``), so every malformed entry raises
+        :class:`ScheduleError` naming the entry's index.
+        """
+        events = data.get("events", ())
+        if not isinstance(events, (list, tuple)):
+            raise ScheduleError("events must be a list")
         schedule = cls()
-        for entry in data.get("events", ()):
-            schedule.add(
-                entry["at"],
-                entry["kind"],
-                target=entry.get("target"),
-                params=entry.get("params"),
-                jitter=entry.get("jitter", 0.0),
-            )
+        for index, entry in enumerate(events):
+            if not isinstance(entry, dict):
+                raise ScheduleError("event {}: not an object".format(index))
+            missing = [key for key in ("at", "kind") if key not in entry]
+            if missing:
+                raise ScheduleError(
+                    "event {}: missing {}".format(index, ", ".join(missing))
+                )
+            try:
+                schedule.add(
+                    entry["at"],
+                    entry["kind"],
+                    target=entry.get("target"),
+                    params=entry.get("params"),
+                    jitter=entry.get("jitter", 0.0),
+                )
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                raise ScheduleError("event {}: {}".format(index, exc)) from None
         return schedule

@@ -75,3 +75,26 @@ def test_dict_round_trip():
 def test_from_dict_validates():
     with pytest.raises(ScheduleError):
         FaultSchedule.from_dict({"events": [{"at": 1.0, "kind": "nope"}]})
+
+
+#: Entries ``from_dict`` must refuse with a ScheduleError naming the
+#: entry's index, never a raw TypeError, KeyError or OverflowError.
+MALFORMED_EVENTS = [
+    pytest.param({"at": 1.0, "kind": "cpu_hog", "target": "n0",
+                  "params": {"duration": float("nan")}}, id="nan-hog"),
+    pytest.param({"at": float("nan"), "kind": "heal"}, id="nan-time"),
+    pytest.param({"at": 1.0, "kind": "heal", "jitter": float("nan")},
+                 id="nan-jitter"),
+    pytest.param(5, id="not-an-object"),
+    pytest.param({"kind": "heal"}, id="no-at"),
+    pytest.param({"at": 1.0}, id="no-kind"),
+    pytest.param({"at": 10**400, "kind": "heal"}, id="overflow"),
+    pytest.param({"at": 1.0, "kind": "heal", "params": 5}, id="params-not-object"),
+]
+
+
+@pytest.mark.parametrize("entry", MALFORMED_EVENTS)
+def test_from_dict_refuses_malformed_entries_by_index(entry):
+    events = [{"at": 0.5, "kind": "heal"}, entry]
+    with pytest.raises(ScheduleError, match="event 1"):
+        FaultSchedule.from_dict({"events": events})

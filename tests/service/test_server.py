@@ -100,6 +100,24 @@ def test_over_long_line_gets_an_error_response_then_eof(served):
         client.close()
 
 
+def test_overflowing_number_gets_an_error_response_and_service_continues(served):
+    """JSON ``1e999`` parses to ``inf``: the request is answered with one
+    error, and the pump keeps serving the connection's next request."""
+    _supervisor, server = served
+    raw = socket.create_connection((server.host, server.port), timeout=10)
+    try:
+        lines = raw.makefile("r")
+        raw.sendall(b'{"v": 1, "id": 1, "op": "alerts", "params": {"limit": 1e999}}\n')
+        response = json.loads(lines.readline())
+        assert response["id"] == 1 and response["ok"] is False
+        assert "OverflowError" in response["error"]
+        raw.sendall((encode({"v": 1, "id": 2, "op": "ping"}) + "\n").encode())
+        response = json.loads(lines.readline())
+        assert response["id"] == 2 and response["ok"] is True
+    finally:
+        raw.close()
+
+
 def test_stop_ends_the_accept_thread_at_once():
     """On Linux, closing a listener does not wake a blocked accept()."""
     server = ServiceServer(supervisor=None).start()

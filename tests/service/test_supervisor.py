@@ -279,6 +279,35 @@ def test_bad_control_requests_are_refused_and_the_run_survives():
         supervisor.shutdown()
 
 
+#: Requests whose numbers overflow a conversion: JSON ``1e999`` parses
+#: to ``inf``, which ``int()`` refuses, and ``float()`` refuses an int
+#: beyond the float range.
+OVERFLOW_REQUESTS = [
+    ("alerts", {"limit": float("inf")}),
+    ("inject_fault", {"events": [{"at": 10**400, "kind": "heal"}]}),
+    ("set_eviction_interval", {"interval": 10**400}),
+]
+
+
+@pytest.mark.parametrize("op, params", OVERFLOW_REQUESTS)
+def test_overflowing_requests_are_refused_and_the_pump_survives(sup, op, params):
+    responses = []
+
+    def submitter():
+        responses.append(sup.submit({"op": op, "params": params}, timeout=5))
+
+    thread = threading.Thread(target=submitter)
+    thread.start()
+    for _ in range(100):
+        if responses:
+            break
+        sup.pump()
+    thread.join(timeout=5)
+    assert responses and responses[0]["ok"] is False
+    start = sup.now
+    assert sup.pump() == pytest.approx(start + sup.slice_width)
+
+
 def test_forward_interval_must_be_positive_and_finite():
     supervisor = Supervisor("federation")
     try:
