@@ -8,10 +8,6 @@ queues, listener backlogs) with persistent getters, so no item is ever
 consumed by an abandoned waiter.
 """
 
-from repro.ossim import tracepoints as tp
-
-_DELIVER = (tp.SOCK_DELIVER,)
-
 
 class Selector:
     """Round-robin multiplexer over message/connection sources."""
@@ -62,7 +58,8 @@ class Selector:
                     item = pending.value
                     self._sources[key][1] = store.get()
                     if sock is not None:
-                        item = yield from self._finish_recv(sock, item)
+                        yield from ctx._sys_enter("recv")
+                        item = yield from ctx._deliver(sock, item)
                     else:
                         item.owner_pid = ctx.task.pid
                         yield from ctx._sys_enter("accept")
@@ -70,37 +67,3 @@ class Selector:
                     return key, item
             waitables = [entry[1] for entry in self._sources.values()]
             yield from ctx.wait(ctx.sim.any_of(waitables), reason="select")
-
-    def _finish_recv(self, sock, message):
-        ctx = self.ctx
-        yield from ctx._sys_enter("recv")
-        if message is None:
-            yield from ctx._sys_exit("recv")
-            return None
-        kernel = ctx.kernel
-        tracepoints = kernel.tracepoints
-        cost, probe, analyzer, _ = tracepoints.site(_DELIVER)
-        copy_cost = kernel.costs.sock_copy_per_byte * message.size + cost
-        attribution = None
-        if kernel.ledger is not None:
-            attribution = ("netstack", copy_cost - probe - analyzer, probe, analyzer)
-        yield kernel.cpu.submit(
-            ctx.task, copy_cost, "kernel", attribution=attribution
-        )
-        sock.consume(message)
-        deliver_fields = {
-            "pid": ctx.task.pid,
-            "src_ip": message.src.ip,
-            "src_port": message.src.port,
-            "dst_ip": message.dst.ip,
-            "dst_port": message.dst.port,
-            "size": message.size,
-            "msg_kind": message.kind,
-            "queued": message.delivered_at is not None
-            and ctx.sim.now - message.delivered_at,
-        }
-        if message.meta is not None and message.meta.get("arm_id") is not None:
-            deliver_fields["arm_id"] = message.meta["arm_id"]
-        tracepoints.emit(tp.SOCK_DELIVER, None, deliver_fields)
-        yield from ctx._sys_exit("recv")
-        return message

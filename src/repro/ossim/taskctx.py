@@ -168,6 +168,14 @@ class TaskContext:
         message = yield from self.kernel.block_wait(
             self.task, sock.rx_queue.get(), reason="recv"
         )
+        return (yield from self._deliver(sock, message))
+
+    def _deliver(self, sock, message):
+        """Finish a ``recv`` whose ``message`` has arrived (``None`` on
+        peer close): the copy cost and its attribution, the credit
+        return, the SOCK_DELIVER event and the syscall exit.  The
+        :class:`~repro.ossim.selector.Selector` finishes its socket
+        receives here too."""
         if message is None:
             yield from self._sys_exit("recv")
             return None
