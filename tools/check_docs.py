@@ -11,7 +11,8 @@ Checks, over every ``*.md`` at the repo root and under ``docs/``:
    following both Markdown links and inline-code path mentions like
    ``docs/metrics.md``, so prose references count;
 4. every machine-generated doc (``docs/calibration.md``,
-   ``docs/cli.md``, and the marked blocks in ``EXPERIMENTS.md``)
+   ``docs/cli.md``, and the marked blocks in ``EXPERIMENTS.md`` and
+   ``docs/performance.md``)
    matches byte-for-byte regeneration from its committed inputs
    (``tools/gen_docs.py --check``) — hand edits to generated tables
    fail here;
