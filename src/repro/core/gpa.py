@@ -29,10 +29,9 @@ class GlobalPerformanceAnalyzer(AnalyzerTier):
     conn_task_name = "gpa-conn"
 
     def __init__(self, node, hub, clock_table=None, port=SYSPROF_PORT_BASE,
-                 history=50000, dump_path=None, dump_interval=None,
-                 stale_threshold=1.0):
+                 dump_path=None, dump_interval=None, stale_threshold=1.0):
         super().__init__(
-            node, hub, clock_table=clock_table, port=port, history=history,
+            node, hub, clock_table=clock_table, port=port,
             stale_threshold=stale_threshold, channel_prefix="sysprof/",
         )
         self.dump_path = dump_path
