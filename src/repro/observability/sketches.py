@@ -100,18 +100,68 @@ class QuantileSketch:
             self.max_value = value
         return self
 
+    def extend(self, values):
+        """Record each of ``values`` once: the exact batch form of an
+        :meth:`add` loop.
+
+        Buckets, collapses, the floor, ``zero_count``, min and max come
+        out as the loop would leave them, and ``sum_value`` adds in
+        stream order, so the float sum is bit-identical too.  The
+        counters are committed in a ``finally``: a value that ``float()``
+        refuses (or an infinity, whose bucket index overflows) leaves
+        the values before it recorded, exactly as the loop would.
+        """
+        buckets = self.buckets
+        get = buckets.get
+        log = math.log
+        ceil = math.ceil
+        inv_log_gamma = self._inv_log_gamma
+        max_buckets = self.max_buckets
+        floor = self._floor
+        zeros = count = 0
+        total = self.sum_value
+        low = self.min_value
+        high = self.max_value
+        try:
+            for value in values:
+                value = float(value)
+                if value > MIN_TRACKABLE:
+                    index = ceil(log(value) * inv_log_gamma)
+                    if floor is not None and index < floor:
+                        index = floor
+                    buckets[index] = get(index, 0) + 1
+                    if len(buckets) > max_buckets:
+                        self._collapse_lowest()
+                        floor = self._floor
+                else:
+                    value = 0.0
+                    zeros += 1
+                count += 1
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+        finally:
+            self.zero_count += zeros
+            self.count += count
+            self.sum_value = total
+            self.min_value = low
+            self.max_value = high
+        return self
+
     def update_many(self, values):
         """Record a batch of values (vectorized when numpy is installed).
 
         The numpy kernel computes every bucket index in one
         ``np.log``/``np.ceil`` pass and aggregates per-bucket counts with
-        ``np.bincount``; without numpy it degrades to a plain
-        :meth:`add` loop.  numpy is imported on the first call, not with
+        ``np.bincount``; without numpy it degrades to :meth:`extend`.
+        numpy is imported on the first call, not with
         this module, so no simulation run loads it.  Counts,
         ``zero_count``, ``min_value`` and ``max_value`` are exactly what
-        the loop would produce.  Two
+        an :meth:`add` loop would produce.  Two
         deliberate deviations keep the kernel fast, and are why the
-        *in-simulation* SketchLPA sticks to scalar :meth:`add` (see
+        *in-simulation* LPAs stick to :meth:`add` and :meth:`extend` (see
         docs/performance.md): ``np.log`` may differ from ``math.log`` by
         one ulp (a value sitting exactly on a bucket boundary can land
         one bucket over, still within the ``alpha`` guarantee), and
@@ -123,10 +173,7 @@ class QuantileSketch:
         try:
             import numpy as np
         except ImportError:
-            add = self.add
-            for value in values:
-                add(value)
-            return self
+            return self.extend(values)
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("update_many expects a 1-d sequence of values")
@@ -325,7 +372,8 @@ class SketchStore:
         self.rows_ingested = 0
 
     def ingest(self, record):
-        """Store one decoded sketch record (a dict of SKETCH_FORMAT fields)."""
+        """Store one decoded sketch record (a dict of SKETCH_FORMAT fields)
+        and return the sketch it stored, which callers must not change."""
         node = record["node"]
         end = record["window_end"]
         if self.clock_table is not None and self.clock_table.known(node):
@@ -334,8 +382,10 @@ class SketchStore:
         windows = self.series.get(key)
         if windows is None:
             windows = self.series[key] = deque(maxlen=self.history)
-        windows.append((end, QuantileSketch.from_row(record)))
+        sketch = QuantileSketch.from_row(record)
+        windows.append((end, sketch))
         self.rows_ingested += 1
+        return sketch
 
     def clear(self):
         """Drop in-memory windows (GPA restart: history dies with the

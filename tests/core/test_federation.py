@@ -1,10 +1,14 @@
 """Zone GPAs: condensation, forwarding, restart, and isolation."""
 
+import random
+
 import pytest
 
 from repro.cluster import Cluster, build_spine_leaf
 from repro.core import SysProf, SysProfConfig, ZoneGpa, ZoneSpec
 from repro.core.channels import ChannelHub
+from repro.core.lpa import SKETCH_FORMAT
+from repro.observability.sketches import QuantileSketch
 from repro.workloads.synthetic import install_synthetic_load
 
 
@@ -194,3 +198,79 @@ def test_zone_stats_expose_tier_counters():
     assert stats["bytes_published"] > 0
     # The root tier reports its ingress too (the bench's numerator).
     assert sysprof.gpa.stats()["ingress_bytes"] > 0
+
+
+def _sketch_records(nodes, windows, seed=4):
+    """Decoded ``sysprof.sketch`` records: one latency window per node
+    per window index, all of class ``rpc``."""
+    rng = random.Random(seed)
+    names = [name for name, _kind in SKETCH_FORMAT[1]]
+    records = []
+    for window in range(windows):
+        for node in nodes:
+            sketch = QuantileSketch()
+            for _ in range(16):
+                sketch.add(rng.lognormvariate(-6.0, 1.0))
+            row = sketch.to_row(node, "rpc", "latency", 0.1 * window,
+                                0.1 * (window + 1))
+            records.append(dict(zip(names, row)))
+    return records
+
+
+def _window_state(sketch):
+    return (sorted(sketch.buckets.items()), sketch.count, sketch.zero_count,
+            sketch.sum_value.hex(), sketch.min_value, sketch.max_value)
+
+
+def test_zone_parses_each_member_sketch_row_once(monkeypatch):
+    cluster = Cluster(seed=1)
+    cluster.add_node("a")
+    zone = ZoneGpa("z0", cluster.node("a"), ChannelHub())
+    parses = []
+    original = QuantileSketch.from_row.__func__
+
+    def counted(cls, record, max_buckets=None):
+        parses.append(record["node"])
+        return original(cls, record, max_buckets=max_buckets)
+
+    monkeypatch.setattr(QuantileSketch, "from_row", classmethod(counted))
+    records = _sketch_records(["n0", "n1", "n2"], windows=3)
+    zone.ingest("sysprof.sketch", records)
+    # One parse per row: the store's window feeds the pending rollup.
+    assert len(parses) == len(records) == 9
+    assert zone.sketches.rows_ingested == 9
+    assert zone.sketch_merges == 8
+    rollup = zone._pending_sketches[("rpc", "latency")][0]
+    assert rollup.count == sum(record["count"] for record in records)
+
+
+def test_zone_forward_leaves_stored_windows_unchanged():
+    """The pending rollup must not share a sketch with the store: merging
+    more rows of the same key into it, and collapsing it to fit the
+    forwarded row, would otherwise rewrite the first stored window."""
+    cluster, sysprof = build_federated()
+    zone = sysprof.federation.zone("r0")
+    ingested = []
+    ingest = zone.ingest
+
+    def recording(format_name, records):
+        if format_name == "sysprof.sketch":
+            ingested.extend(dict(record) for record in records)
+        return ingest(format_name, records)
+
+    zone.ingest = recording
+    cluster.run(until=2.0)
+    assert zone.forwards > 0 and zone.sketch_merges > 0
+    expected = {}
+    for record in ingested:
+        key = (record["node"], record["request_class"], record["metric"])
+        expected.setdefault(key, []).append(
+            _window_state(QuantileSketch.from_row(record))
+        )
+    stored = {
+        key: [_window_state(sketch) for _end, sketch in windows]
+        for key, windows in zone.sketches.series.items()
+    }
+    assert stored == {
+        key: states[-zone.sketches.history:] for key, states in expected.items()
+    }

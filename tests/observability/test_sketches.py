@@ -5,9 +5,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.encoding import pack_count_runs, unpack_count_runs
 from repro.observability.sketches import (
+    MIN_TRACKABLE,
     SKETCH_PAYLOAD_WIDTH,
     QuantileSketch,
     SketchStore,
@@ -235,3 +238,87 @@ def test_update_many_rejects_matrix_input():
     pytest.importorskip("numpy")
     with pytest.raises(ValueError):
         QuantileSketch().update_many([[1.0, 2.0], [3.0, 4.0]])
+
+
+# ----------------------------------------------------------------------
+# extend: the exact batch form of an add loop
+# ----------------------------------------------------------------------
+
+#: Values that exercise every branch of ``add``: the zero bucket (zeros,
+#: negatives, NaN, values at or below MIN_TRACKABLE), wide and narrow
+#: positive ranges, and subnormals.
+_SKETCH_VALUES = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.floats(allow_nan=True, allow_infinity=False),
+    st.sampled_from([
+        0.0, -0.0, -1.0, math.nan, MIN_TRACKABLE, MIN_TRACKABLE / 2,
+        MIN_TRACKABLE * 1.0000001, 5e-324,
+    ]),
+)
+
+#: Values an ``add`` refuses: ``float()`` raises on the first two, and an
+#: infinity's bucket index overflows.
+_REFUSED = st.sampled_from(["not a number", None, math.inf])
+
+
+def _sketch_state(sketch):
+    return (
+        list(sketch.buckets.items()), sketch.count, sketch.zero_count,
+        sketch.sum_value.hex(), sketch.min_value.hex(),
+        sketch.max_value.hex(), sketch.collapses, sketch._floor,
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    alpha=st.sampled_from((0.01, 0.05, 0.3)),
+    max_buckets=st.integers(2, 8),
+    prior=st.lists(_SKETCH_VALUES, max_size=12),
+    batch=st.lists(_SKETCH_VALUES, max_size=40),
+    refused=st.one_of(st.none(), st.tuples(st.integers(0, 40), _REFUSED)),
+)
+def test_extend_equals_an_add_loop(alpha, max_buckets, prior, batch, refused):
+    if refused is not None:
+        position, bad = refused
+        batch = list(batch)
+        batch.insert(min(position, len(batch)), bad)
+    looped = QuantileSketch(alpha=alpha, max_buckets=max_buckets)
+    extended = QuantileSketch(alpha=alpha, max_buckets=max_buckets)
+    for value in prior:
+        looped.add(value)
+        extended.add(value)
+    error = None
+    try:
+        for value in batch:
+            looped.add(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        error = type(exc)
+    if error is None:
+        assert extended.extend(batch) is extended
+    else:
+        with pytest.raises(error):
+            extended.extend(batch)
+    assert _sketch_state(extended) == _sketch_state(looped)
+    # The add loop's sketch keeps working from the same state.
+    looped.add(1.0)
+    extended.extend([1.0])
+    assert _sketch_state(extended) == _sketch_state(looped)
+
+
+def test_extend_collapses_mid_batch_like_add():
+    values = [1.5 ** i for i in range(64)] + [1e-3, 0.0, 2.0]
+    looped = QuantileSketch(alpha=0.001, max_buckets=4)
+    for value in values:
+        looped.add(value)
+    extended = QuantileSketch(alpha=0.001, max_buckets=4).extend(values)
+    assert extended.collapses == looped.collapses > 0
+    assert _sketch_state(extended) == _sketch_state(looped)
+
+
+def test_update_many_fallback_is_extend(monkeypatch):
+    values = [0.5, 2.0, 2.0, 8.0, 0.0, 40.0, math.nan, -1.0]
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    fallback = QuantileSketch(max_buckets=3).update_many(values)
+    assert _sketch_state(fallback) == _sketch_state(
+        QuantileSketch(max_buckets=3).extend(values)
+    )
