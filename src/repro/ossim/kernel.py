@@ -147,10 +147,14 @@ class Kernel:
         return task.exit_value
 
     def block_wait(self, task, waitable, reason="io"):
-        """Generator: wait on ``waitable`` while accounting blocked time."""
+        """Generator: wait on ``waitable`` while accounting blocked time.
+
+        A waitable that already triggered hands over its value, or raises
+        its exception, at once: the task never blocks on it."""
         if waitable.triggered:
-            value = yield waitable
-            return value
+            if waitable.ok:
+                return waitable.value
+            raise waitable.value
         self.tracepoints.fire(tp.SCHED_BLOCK, pid=task.pid, reason=reason)
         task.mark_blocked(self.sim.now, reason)
         try:

@@ -151,7 +151,11 @@ class TaskContext:
         message = AppMessage(size, kind=kind, meta=meta)
         sock.owner_pid = self.task.pid
         yield from self._sys_enter("send")
-        yield sock.tx_lock.acquire()
+        # A free lock grants at once, and a triggered grant succeeded, so
+        # only a pending grant costs a wait.
+        grant = sock.tx_lock.acquire()
+        if not grant.triggered:
+            yield grant
         try:
             yield from self.kernel.netstack.tx_message(
                 self.task, sock, message, frame_batch=frame_batch
