@@ -327,6 +327,42 @@ def test_forward_interval_must_be_positive_and_finite():
         supervisor.shutdown()
 
 
+#: Requests whose target names nothing or has the wrong type, with the
+#: text the error must quote.
+BAD_TARGET_REQUESTS = [
+    ("ledger", {"node": "nosuch"}, "'nosuch'"),
+    ("ledger", {"node": ["n0"]}, "['n0']"),
+    ("restore", {"node": ["n0"]}, "['n0']"),
+    ("restore", {"node": "nosuch"}, "'nosuch'"),
+    ("sketch", {"class": ["rpc"]}, "['rpc']"),
+    ("sketch", {"class": "rpc", "metric": 5}, "5"),
+    ("sketch", {"class": "rpc", "node": {"n": 0}}, "{'n': 0}"),
+    ("subscribe", {"events": "alert"}, "'alert'"),
+]
+
+
+@pytest.mark.parametrize("op, params, named", BAD_TARGET_REQUESTS)
+def test_unknown_or_mistyped_targets_are_refused(sup, op, params, named):
+    sup.pump()
+    answer = sup.handle({"op": op, "params": params})
+    assert answer["ok"] is False
+    assert named in answer["error"]
+    assert sup.controls_applied == 0
+    assert not sup._subs
+
+
+def test_known_targets_and_unseen_sketch_classes_still_answer(sup, client):
+    sup.run(0.3)
+    assert list(client.ledger(node="n0")["nodes"]) == ["n0"]
+    assert sorted(client.ledger()["nodes"]) == sup.scenario.ledger.nodes()
+    # A class no window has reported yet is a question with an empty
+    # answer, not an error: the incident workload asks for one.
+    unseen = client.call("sketch", **{"class": "nfs-write", "node": "n0"})
+    assert unseen["count"] == 0
+    assert client.call("sketch", **{"class": "rpc"})["count"] > 0
+    assert client.call("restore", node="n0")["restored"] is False
+
+
 def test_set_forward_interval_requires_federation(sup, client):
     with pytest.raises(ServiceCallError, match="federated"):
         client.call("set_forward_interval", interval=0.5)
