@@ -96,12 +96,15 @@ def execute_query(gpa, kind, params):
         return gpa.stats(), 256
     if kind == "interactions":
         limit = int(params.pop("limit", 50))
+        if limit < 0:
+            raise GpaQueryError("negative interactions limit: {}".format(limit))
         records = gpa.query_interactions(
             node=params.get("node"),
             request_class=params.get("request_class"),
             since=params.get("since"),
             client_ip=params.get("client_ip"),
             server_ip=params.get("server_ip"),
-        )[-limit:]
+        )
+        records = records[-limit:] if limit else []
         return records, 64 + 180 * len(records)
     raise GpaQueryError("unknown query kind: {!r}".format(kind))

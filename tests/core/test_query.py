@@ -43,6 +43,39 @@ def test_remote_interactions_with_limit():
     assert all(record["node"] == "server" for record in records)
 
 
+@pytest.mark.parametrize("limit, returned", [(0, 0), (50, 10)])
+def test_remote_interactions_limit_bounds_the_reply(limit, returned):
+    cluster, sysprof = build_monitored_pair()
+    drive_traffic(cluster, sysprof, count=10)
+
+    def querier(ctx):
+        result = yield from remote_query(
+            ctx, "mgmt", "interactions", node="server", limit=limit
+        )
+        return result
+
+    records = _run_query_task(cluster, querier)
+    assert len(records) == returned
+    # The newest records, in arrival order.
+    assert records == sysprof.gpa.query_interactions(node="server")[10 - returned:]
+
+
+def test_remote_interactions_negative_limit_is_refused():
+    cluster, sysprof = build_monitored_pair()
+    drive_traffic(cluster, sysprof, count=10)
+
+    def querier(ctx):
+        try:
+            yield from remote_query(
+                ctx, "mgmt", "interactions", node="server", limit=-2
+            )
+        except GpaQueryError as error:
+            return str(error)
+
+    assert "-2" in _run_query_task(cluster, querier)
+    assert sysprof.gpa.queries_served == 0
+
+
 def test_remote_server_load_and_stats():
     cluster, sysprof = build_monitored_pair()
     drive_traffic(cluster, sysprof, count=4, run_until=2.0)
