@@ -31,7 +31,7 @@ from repro.core.federation import (
 )
 from repro.core.gpa import CausalPath, GlobalPerformanceAnalyzer
 from repro.core.publisher import ChannelPublisher
-from repro.core.tier import AnalyzerTier, TierStore
+from repro.core.tier import AnalyzerTier
 from repro.core.interactions import (
     InteractionRecord,
     InteractionTracker,
@@ -89,7 +89,6 @@ __all__ = [
     "SysProf",
     "SyscallLPA",
     "SysProfConfig",
-    "TierStore",
     "ZoneGpa",
     "ZoneSpec",
     "all_of",

@@ -306,8 +306,8 @@ class ZoneGpa(AnalyzerTier):
             rng_label="zonegpa.backoff.{}".format(node.name),
             pid_fn=lambda: self._forward_task.pid if self._forward_task else 0,
         )
-        # Formats this tier *produces* (separate from the ingest registry,
-        # which is rebuilt on restart as descriptors are re-learned).
+        # Formats this tier *produces*; ingest decodes with one registry
+        # per connection, re-learned from descriptors after a restart.
         self.out_registry = encoding.FormatRegistry()
         # Condensation state accumulated since the last forward; exact:
         # sketch merges are lossless bucket additions, summaries are
@@ -370,56 +370,62 @@ class ZoneGpa(AnalyzerTier):
             for record in records:
                 self._member_last[record["node"]] = record
 
-    def _to_reference(self, node, ts):
-        table = self.store.clock_table
-        if table is not None and table.known(node):
-            return table.to_reference(node, ts)
-        return ts
-
     def _accumulate_sketches(self, records, sketches):
         """Merge incoming sketch rows into the pending per-(class, metric)
         rollup at ingest time — windows are never re-read from the store,
         so nothing is dropped or double-counted across forward intervals.
 
         ``sketches`` are the windows the store just parsed from
-        ``records``; a rollup starts from a copy, so merging later rows
-        into it never changes a stored window."""
-        pending = self._pending_sketches
+        ``records``."""
+        to_reference = self.to_reference
         for record, sketch in zip(records, sketches):
-            key = (record["request_class"], record["metric"])
             node = record["node"]
-            start = self._to_reference(node, record["window_start"])
-            end = self._to_reference(node, record["window_end"])
-            entry = pending.get(key)
-            if entry is None:
-                pending[key] = [sketch.copy(), start, end]
-            else:
-                entry[0].merge(sketch)
-                entry[1] = min(entry[1], start)
-                entry[2] = max(entry[2], end)
+            if self._fold_sketch(
+                    (record["request_class"], record["metric"]), sketch,
+                    to_reference(node, record["window_start"]),
+                    to_reference(node, record["window_end"])):
                 self.sketch_merges += 1
 
+    def _fold_sketch(self, key, sketch, start, end):
+        """Fold one window into the pending ``key`` rollup; returns
+        whether it merged into an existing one.  A new rollup starts
+        from a copy, so later merges never change ``sketch``."""
+        entry = self._pending_sketches.get(key)
+        if entry is None:
+            self._pending_sketches[key] = [sketch.copy(), start, end]
+            return False
+        entry[0].merge(sketch)
+        entry[1] = min(entry[1], start)
+        entry[2] = max(entry[2], end)
+        return True
+
     def _accumulate_summaries(self, records):
-        pending = self._pending_classes
+        to_reference = self.to_reference
         for record in records:
             count = record["count"]
             node = record["node"]
-            start = self._to_reference(node, record["window_start"])
-            end = self._to_reference(node, record["window_end"])
-            acc = pending.get(record["request_class"])
-            if acc is None:
-                acc = pending[record["request_class"]] = {
-                    "count": 0, "latency": 0.0, "kernel": 0.0, "user": 0.0,
-                    "wait": 0.0, "bytes": 0, "start": start, "end": end,
-                }
-            acc["count"] += count
-            acc["latency"] += record["mean_latency"] * count
-            acc["kernel"] += record["mean_kernel_time"] * count
-            acc["user"] += record["mean_user_time"] * count
-            acc["wait"] += record["mean_kernel_wait"] * count
-            acc["bytes"] += record["total_bytes"]
-            acc["start"] = min(acc["start"], start)
-            acc["end"] = max(acc["end"], end)
+            self._fold_summary(record["request_class"], {
+                "count": count,
+                "latency": record["mean_latency"] * count,
+                "kernel": record["mean_kernel_time"] * count,
+                "user": record["mean_user_time"] * count,
+                "wait": record["mean_kernel_wait"] * count,
+                "bytes": record["total_bytes"],
+                "start": to_reference(node, record["window_start"]),
+                "end": to_reference(node, record["window_end"]),
+            })
+
+    def _fold_summary(self, request_class, acc):
+        """Fold one count-weighted accumulator into the pending rollup of
+        ``request_class`` (``acc`` becomes that rollup when there is none)."""
+        current = self._pending_classes.get(request_class)
+        if current is None:
+            self._pending_classes[request_class] = acc
+            return
+        for name in ("count", "latency", "kernel", "user", "wait", "bytes"):
+            current[name] += acc[name]
+        current["start"] = min(current["start"], acc["start"])
+        current["end"] = max(current["end"], acc["end"])
 
     # -- upward forwarding ----------------------------------------------
 
@@ -470,7 +476,7 @@ class ZoneGpa(AnalyzerTier):
             busy = user = kernel = 0.0
             run_queue = ctx_switches = backlog = pending = 0
             for node, record in self._member_last.items():
-                newest = max(newest, self._to_reference(node, record["ts"]))
+                newest = max(newest, self.to_reference(node, record["ts"]))
                 busy += record["cpu_busy"]
                 user += record["cpu_user"]
                 kernel += record["cpu_kernel"]
@@ -516,59 +522,29 @@ class ZoneGpa(AnalyzerTier):
         Members quiet past the stale threshold leave the heartbeat (the
         zone's own ``stale_nodes()`` already flagged them)."""
         for node in list(self._member_last):
-            record = self._member_last[node]
-            if now_ref - self._to_reference(node, record["ts"]) > self.stale_threshold:
+            age = self.staleness(node, now_ref)
+            if age is None or age > self.stale_threshold:
                 del self._member_last[node]
 
     def _retain(self, format_name, retained):
-        """Re-merge an undelivered condensation window into the pending
+        """Re-fold an undelivered condensation window into the pending
         state (which may already hold rows ingested mid-publish)."""
         if format_name == "sysprof.sketch":
-            pending = self._pending_sketches
-            for key, entry in retained.items():
-                current = pending.get(key)
-                if current is None:
-                    pending[key] = entry
-                else:
-                    current[0].merge(entry[0])
-                    current[1] = min(current[1], entry[1])
-                    current[2] = max(current[2], entry[2])
+            for key, (sketch, start, end) in retained.items():
+                self._fold_sketch(key, sketch, start, end)
         else:
-            pending = self._pending_classes
             for request_class, acc in retained.items():
-                current = pending.get(request_class)
-                if current is None:
-                    pending[request_class] = acc
-                else:
-                    for field_name in ("count", "latency", "kernel",
-                                       "user", "wait", "bytes"):
-                        current[field_name] += acc[field_name]
-                    current["start"] = min(current["start"], acc["start"])
-                    current["end"] = max(current["end"], acc["end"])
+                self._fold_summary(request_class, acc)
 
     # -- reporting -------------------------------------------------------
 
     def stats(self):
-        result = {
-            "records_received": self.records_received,
-            "interactions": len(self.interactions),
-            "class_summaries": len(self.class_summaries),
-            "nodes_reporting": sorted(self.node_stats),
-            "frames_received": self.frames_received_base
-            + self.frame_decoder.frames_decoded,
-            "decode_errors": self.decode_errors,
-            "ingress_bytes": self.bytes_received,
-            "sketch_rows": self.sketches.rows_ingested,
-            "sketch_series": len(self.sketches.series),
-            "sketch_merges": self.sketch_merges,
-            "forwards": self.forwards,
-            "rows_forwarded": self.rows_forwarded,
-            "forward_failures": self.forward_failures,
-            "queries_served": self.queries_served,
-            "restarts": self.restarts,
-        }
-        for key, value in self.publisher.stats().items():
-            result[key] = value
+        result = super().stats()
+        result["sketch_merges"] = self.sketch_merges
+        result["forwards"] = self.forwards
+        result["rows_forwarded"] = self.rows_forwarded
+        result["forward_failures"] = self.forward_failures
+        result.update(self.publisher.stats())
         return result
 
 

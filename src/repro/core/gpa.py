@@ -11,7 +11,7 @@ The GPA periodically dumps its information onto local disk."
 Since the federation refactor the aggregation/query machinery lives in
 :mod:`repro.core.tier` (shared with :class:`~repro.core.federation.ZoneGpa`);
 this class adds the root-tier specifics: periodic JSON dumps and the
-operator-facing ``stats()``.
+root's extra ``stats()`` counters.
 """
 
 import json
@@ -82,20 +82,8 @@ class GlobalPerformanceAnalyzer(AnalyzerTier):
         return target
 
     def stats(self):
-        return {
-            "records_received": self.records_received,
-            "interactions": len(self.interactions),
-            "class_summaries": len(self.class_summaries),
-            "cpa_metrics": len(self.cpa_metrics),
-            "syscall_summaries": len(self.syscall_summaries),
-            "nodes_reporting": sorted(self.node_stats),
-            "frames_received": self.frames_received_base
-            + self.frame_decoder.frames_decoded,
-            "decode_errors": self.decode_errors,
-            "ingress_bytes": self.bytes_received,
-            "sketch_rows": self.sketches.rows_ingested,
-            "sketch_series": len(self.sketches.series),
-            "dumps_written": self.dumps_written,
-            "queries_served": self.queries_served,
-            "restarts": self.restarts,
-        }
+        result = super().stats()
+        result["cpa_metrics"] = len(self.cpa_metrics)
+        result["syscall_summaries"] = len(self.syscall_summaries)
+        result["dumps_written"] = self.dumps_written
+        return result

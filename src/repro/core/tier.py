@@ -1,22 +1,25 @@
-"""Composable per-tier aggregation components.
+"""One analyzer tier: aggregation state, queries, and the server.
 
 The original :class:`~repro.core.gpa.GlobalPerformanceAnalyzer` baked
 ingest, sketch storage, clock correction, and queries into one class
 that assumed it was the cluster's single global aggregation point.  The
 federation tree (ROADMAP item 1) needs the same machinery at every
-tier — rack-level zone GPAs and the root alike — so it lives here:
+tier — rack-level zone GPAs and the root alike — so it lives here, in
+:class:`AnalyzerTier`: interaction history, class summaries, node-stats
+streams, the windowed :class:`~repro.observability.sketches.SketchStore`,
+the clock-corrected query API over all of it, and the server around it
+(channel subscriptions, the listening task, per-connection frame and
+descriptor decode with simulated-CPU charges, kill/restart semantics
+with cumulative counters).
 
-* :class:`TierStore` — the aggregation state for one tier: interaction
-  history, class summaries, node-stats streams, the windowed
-  :class:`~repro.observability.sketches.SketchStore`, and the
-  clock-corrected query API over all of it.
-* :class:`AnalyzerTier` — the server scaffold around a store: channel
-  subscriptions, the listening task, frame/descriptor decode with
-  simulated-CPU charges, kill/restart semantics with cumulative
-  counters.
+Clock correction (:meth:`AnalyzerTier.to_reference`) and a node's
+telemetry age (:meth:`AnalyzerTier.staleness`) are computed here and
+nowhere else; :meth:`repro.core.toolkit.SysProf.tier_of` names the tier
+that holds a node's raw records.
 
 ``GlobalPerformanceAnalyzer`` and ``ZoneGpa`` are thin subclasses.
 """
+
 
 import bisect
 from collections import deque
@@ -34,7 +37,7 @@ from repro.core.lpa import (
 from repro.observability.sketches import SketchStore
 
 #: Record formats a tier subscribes to, ``name -> (field, type)``
-#: pairs, in channel-subscription order.  The store reads a record of a
+#: pairs, in channel-subscription order.  A tier reads a record of a
 #: known name by these fields, so a frame whose format reuses a name
 #: with other fields is a decode error; other names pass through.
 TIER_FORMATS = dict((
@@ -89,24 +92,63 @@ class CausalPath:
         }
 
 
-class TierStore:
-    """Aggregation state plus the query API for one analyzer tier."""
+class AnalyzerTier:
+    """One aggregation tier (root GPA or zone GPA).
 
-    def __init__(self, clock_table=None, history=50000):
+    Holds the tier's records and answers queries over them, and runs the
+    server that feeds them: the listening task, one handler (and one
+    frame decoder) per connection, and kill/restart semantics.
+    """
+
+    task_name = "gpa"
+    conn_task_name = "gpa-conn"
+    #: Small per-record analysis cost charged at this tier.
+    per_record_cost = 2e-6
+    #: Records kept per history deque.
+    history = 50000
+
+    def __init__(self, node, hub, clock_table=None, port=SYSPROF_PORT_BASE,
+                 stale_threshold=1.0, channel_prefix="sysprof/"):
+        self.node = node
+        self.hub = hub
+        self.port = port
+        self.channel_prefix = channel_prefix
+        # Default quiet-time before stale_nodes() suspects a node; also
+        # the fallback threshold for staleness SLO rules.
+        self.stale_threshold = stale_threshold
         self.clock_table = clock_table
-        self.interactions = deque(maxlen=history)
-        self.class_summaries = deque(maxlen=history)
-        self.cpa_metrics = deque(maxlen=history)
-        self.syscall_summaries = deque(maxlen=history)
+        self.interactions = deque(maxlen=self.history)
+        self.class_summaries = deque(maxlen=self.history)
+        self.cpa_metrics = deque(maxlen=self.history)
+        self.syscall_summaries = deque(maxlen=self.history)
         self.node_stats = {}  # node -> deque of samples
         # Windowed quantile sketches merged from sysprof.sketch rows.
         self.sketches = SketchStore(clock_table=clock_table)
         # Optional DiagnosisEngine; attach() sets this and ingest() then
         # offers every batch to its SLO evaluation.
         self.diagnosis = None
+        # Ingest counters are cumulative across restarts, standing in for
+        # the operator's long-lived view of the analyzer.
         self.records_received = 0
+        self.frames_received = 0
+        self.decode_errors = 0
+        self.bytes_received = 0  # tier ingress: every blob off the wire
+        self.queries_served = 0
+        self._server_task = None
+        self._conn_tasks = []
+        self._conn_socks = []
+        self.restarts = 0
+        self._stopped = False
 
     # -- ingest + time correction --------------------------------------
+
+    def ingest_rows(self, fmt, rows):
+        """Frame ingest: decoded row tuples become the stored record dicts
+        directly (one ``zip`` per record — there is no intermediate
+        per-record slice or throwaway dict between the wire and the query
+        structures)."""
+        names = fmt.names
+        self.ingest(fmt.name, [dict(zip(names, row)) for row in rows])
 
     def ingest(self, format_name, records):
         """Store one decoded batch; returns the stored sketches of a
@@ -136,30 +178,25 @@ class TierStore:
             self.diagnosis.on_ingest(format_name, records)
         return sketches
 
+    def to_reference(self, node, ts):
+        """``node``'s local timestamp ``ts`` on the reference timescale
+        (unchanged when the clock table does not know ``node``)."""
+        table = self.clock_table
+        if table is not None and table.known(node):
+            return table.to_reference(node, ts)
+        return ts
+
     def _correct_times(self, record):
-        """Annotate with reference-timescale start/end via the clock table."""
+        """Annotate with reference-timescale start/end."""
         node = record["node"]
-        if self.clock_table is not None and self.clock_table.known(node):
-            record["start_ref"] = self.clock_table.to_reference(node, record["start_ts"])
-            record["end_ref"] = self.clock_table.to_reference(node, record["end_ts"])
-        else:
-            record["start_ref"] = record["start_ts"]
-            record["end_ref"] = record["end_ts"]
+        record["start_ref"] = self.to_reference(node, record["start_ts"])
+        record["end_ref"] = self.to_reference(node, record["end_ts"])
 
-    def forget_node(self, node):
-        """Drop one node's stats stream (it moved to another tier or
-        crashed); interaction/summary history ages out of the deques."""
+    def release_member(self, node):
+        """An adopted member returned to its own parent (or moved on):
+        stop tracking its node-stats stream so it cannot go ghost-stale
+        here; interaction/summary history ages out of the deques."""
         self.node_stats.pop(node, None)
-
-    def clear(self):
-        """Drop aggregation state (process death).  ``records_received``
-        stays cumulative, standing in for the operator's long-lived view."""
-        self.interactions.clear()
-        self.class_summaries.clear()
-        self.cpa_metrics.clear()
-        self.syscall_summaries.clear()
-        self.node_stats.clear()
-        self.sketches.clear()
 
     # -- queries --------------------------------------------------------
 
@@ -218,28 +255,34 @@ class TierStore:
             "ts": last["ts"],
         }
 
-    def stale_nodes(self, now_ref, threshold):
+    def staleness(self, node, now_ref):
+        """Seconds from ``node``'s newest nodestats sample (on the
+        reference timescale) to reference-time ``now_ref``, never
+        negative; ``None`` when this tier never heard from ``node``."""
+        history = self.node_stats.get(node)
+        if not history:
+            return None
+        return max(0.0, now_ref - self.to_reference(node, history[-1]["ts"]))
+
+    def stale_nodes(self, now_ref, threshold=None):
         """Failure suspicion: monitored nodes whose telemetry went quiet.
 
         "A typical problem in these environments is to detect failures
         and performance bottlenecks" (paper §3.2) — a node whose
         dissemination daemon has not published a nodestats sample within
-        ``threshold`` of reference-time ``now_ref`` is suspected down
-        (crashed node, wedged kernel, or partitioned network).  In a
-        federation a "node" may be a zone pseudo-node (``zone:<name>``)
-        whose forwarder went quiet.
+        ``threshold`` (default :attr:`stale_threshold`) of reference-time
+        ``now_ref`` is suspected down (crashed node, wedged kernel, or
+        partitioned network).  In a federation a "node" may be a zone
+        pseudo-node (``zone:<name>``) whose forwarder went quiet.
 
         Returns ``{node: seconds_since_last_sample}``.
         """
+        if threshold is None:
+            threshold = self.stale_threshold
         suspects = {}
-        for node, history in self.node_stats.items():
-            if not history:
-                continue
-            last_ts = history[-1]["ts"]
-            if self.clock_table is not None and self.clock_table.known(node):
-                last_ts = self.clock_table.to_reference(node, last_ts)
-            age = now_ref - last_ts
-            if age > threshold:
+        for node in self.node_stats:
+            age = self.staleness(node, now_ref)
+            if age is not None and age > threshold:
                 suspects[node] = age
         return suspects
 
@@ -271,119 +314,21 @@ class TierStore:
             paths.append(CausalPath(upstream, nested))
         return paths
 
-
-class AnalyzerTier:
-    """Server scaffold for one aggregation tier (root GPA or zone GPA).
-
-    Owns the listening task, per-connection handlers, the streaming
-    frame decoder, and kill/restart semantics; aggregation state and
-    queries live in :attr:`store` (a :class:`TierStore`) and are
-    re-exported as properties so existing callers — diagnosis, SLO
-    rules, query execution, experiments — work against any tier.
-    """
-
-    task_name = "gpa"
-    conn_task_name = "gpa-conn"
-    #: Small per-record analysis cost charged at this tier.
-    per_record_cost = 2e-6
-    #: Records kept per history deque of the tier's store.
-    history = 50000
-
-    def __init__(self, node, hub, clock_table=None, port=SYSPROF_PORT_BASE,
-                 stale_threshold=1.0, channel_prefix="sysprof/"):
-        self.node = node
-        self.hub = hub
-        self.port = port
-        self.channel_prefix = channel_prefix
-        # Default quiet-time before stale_nodes() suspects a node; also
-        # the fallback threshold for staleness SLO rules.
-        self.stale_threshold = stale_threshold
-        self.store = TierStore(clock_table=clock_table, history=self.history)
-        self.registry = encoding.FormatRegistry()
-        # Streaming frame decoder: adopts descriptors as they arrive and
-        # unpacks whole frames through the cached multi-record packers.
-        self.frame_decoder = encoding.FrameDecoder(self.registry)
-        # Frames decoded by decoders that died with past processes; keeps
-        # the stats() "frames_received" counter cumulative across restarts
-        # like every other ingest counter (it used to silently reset).
-        self.frames_received_base = 0
-        self.decode_errors = 0
-        self.bytes_received = 0  # tier ingress: every blob off the wire
-        self.queries_served = 0
-        self._server_task = None
-        self._conn_tasks = []
-        self._conn_socks = []
-        self.restarts = 0
-        self._stopped = False
-
-    # -- store delegation ----------------------------------------------
-
-    @property
-    def clock_table(self):
-        return self.store.clock_table
-
-    @property
-    def interactions(self):
-        return self.store.interactions
-
-    @property
-    def class_summaries(self):
-        return self.store.class_summaries
-
-    @property
-    def cpa_metrics(self):
-        return self.store.cpa_metrics
-
-    @property
-    def syscall_summaries(self):
-        return self.store.syscall_summaries
-
-    @property
-    def node_stats(self):
-        return self.store.node_stats
-
-    @property
-    def sketches(self):
-        return self.store.sketches
-
-    @property
-    def records_received(self):
-        return self.store.records_received
-
-    @property
-    def diagnosis(self):
-        return self.store.diagnosis
-
-    @diagnosis.setter
-    def diagnosis(self, engine):
-        self.store.diagnosis = engine
-
-    def query_interactions(self, node=None, request_class=None, since=None,
-                           client_ip=None, server_ip=None):
-        return self.store.query_interactions(
-            node=node, request_class=request_class, since=since,
-            client_ip=client_ip, server_ip=server_ip,
-        )
-
-    def node_summary(self, node):
-        return self.store.node_summary(node)
-
-    def server_load(self, node):
-        return self.store.server_load(node)
-
-    def stale_nodes(self, now_ref, threshold=None):
-        if threshold is None:
-            threshold = self.stale_threshold
-        return self.store.stale_nodes(now_ref, threshold)
-
-    def correlate_paths(self, upstream_node, downstream_nodes, slack=2e-3):
-        return self.store.correlate_paths(upstream_node, downstream_nodes,
-                                          slack=slack)
-
-    def release_member(self, node):
-        """An adopted member returned to its own parent: stop tracking
-        its node-stats stream so it cannot go ghost-stale here."""
-        self.store.forget_node(node)
+    def stats(self):
+        """The counters every tier reports; subclasses add their own."""
+        return {
+            "records_received": self.records_received,
+            "interactions": len(self.interactions),
+            "class_summaries": len(self.class_summaries),
+            "nodes_reporting": sorted(self.node_stats),
+            "frames_received": self.frames_received,
+            "decode_errors": self.decode_errors,
+            "ingress_bytes": self.bytes_received,
+            "sketch_rows": self.sketches.rows_ingested,
+            "sketch_series": len(self.sketches.series),
+            "queries_served": self.queries_served,
+            "restarts": self.restarts,
+        }
 
     # -- wiring ---------------------------------------------------------
 
@@ -437,16 +382,14 @@ class AnalyzerTier:
 
         Decoder state and in-memory history died with the old process —
         formats are re-learned from the descriptors daemons re-send on
-        their fresh connections.  Ingest counters stay cumulative (they
-        live on this object, standing in for the operator's long-lived
-        view of the analyzer).
+        their fresh connections.  Ingest counters stay cumulative.
         """
-        # Bank the dead decoder's frame count before discarding it, so
-        # stats()["frames_received"] never moves backwards on restart.
-        self.frames_received_base += self.frame_decoder.frames_decoded
-        self.registry = encoding.FormatRegistry()
-        self.frame_decoder = encoding.FrameDecoder(self.registry)
-        self.store.clear()
+        self.interactions.clear()
+        self.class_summaries.clear()
+        self.cpa_metrics.clear()
+        self.syscall_summaries.clear()
+        self.node_stats.clear()
+        self.sketches.clear()
         self.subscribe_all()  # idempotent; re-asserts hub registration
         self.restarts += 1
         return self.start()
@@ -468,8 +411,7 @@ class AnalyzerTier:
         # first), so two streams must never share an id table: a
         # reparented daemon's descriptors would clobber the ids a zone
         # uplink already claimed and every later frame on the *other*
-        # stream would decode against the wrong schema.  The tier-level
-        # ``frame_decoder`` stays as the cumulative counter aggregate.
+        # stream would decode against the wrong schema.
         decoder = encoding.FrameDecoder()
         while True:
             message = yield from ctx.recv_message(sock)
@@ -496,8 +438,7 @@ class AnalyzerTier:
                 if fields is not None and fmt.fields != fields:
                     self.decode_errors += 1
                     continue
-                self.frame_decoder.frames_decoded += 1
-                self.frame_decoder.records_decoded += len(rows)
+                self.frames_received += 1
                 # Small per-record analysis cost at this tier.
                 yield from ctx.compute(self.per_record_cost * len(rows))
                 if fmt.name == "sysprof.sketch":
@@ -529,16 +470,3 @@ class AnalyzerTier:
             yield from ctx.send_message(
                 sock, 96, kind="sysprof-result", meta={"error": str(error)}
             )
-
-    # -- ingest ----------------------------------------------------------
-
-    def ingest_rows(self, fmt, rows):
-        """Frame ingest: decoded row tuples become the stored record dicts
-        directly (one ``zip`` per record — there is no intermediate
-        per-record slice or throwaway dict between the wire and the query
-        structures)."""
-        names = fmt.names
-        self.ingest(fmt.name, [dict(zip(names, row)) for row in rows])
-
-    def ingest(self, format_name, records):
-        return self.store.ingest(format_name, records)

@@ -329,6 +329,21 @@ class SysProf:
 
     # ------------------------------------------------------------------
 
+    def tier_of(self, node):
+        """The analyzer tier holding ``node``'s raw records: the adopter
+        while the node is failed over, else its zone GPA, else the root
+        (the root of a federation sees only condensed zone rollups)."""
+        federation = self.federation
+        if federation is not None:
+            if node in federation.adopted:
+                adopter = federation._adopter_tier(federation.adopted[node])
+                if adopter is not None:
+                    return adopter
+            zone_gpa = federation.locate_member(node)
+            if zone_gpa is not None:
+                return zone_gpa
+        return self.gpa
+
     def monitor(self, node_name):
         return self.monitors[node_name]
 

@@ -159,9 +159,7 @@ def run_federation_point(config=None):
 
     def sample_staleness():
         now = cluster.sim.now
-        for history in gpa.node_stats.values():
-            if history:
-                ages.append(max(0.0, now - history[-1]["ts"]))
+        ages.extend(gpa.staleness(node, now) for node in gpa.node_stats)
         if now + config.sample_interval <= config.duration:
             cluster.sim.schedule(config.sample_interval, sample_staleness)
 
@@ -301,15 +299,9 @@ def run_partition_point(config=None, scenario="gpa", partition_start=1.0,
     def sample_members():
         """Worst member age at whichever tier currently adopts it."""
         now = cluster.sim.now
-        worst = 0.0
-        for member in target_members:
-            tier = federation._adopter_tier(
-                federation.adopted.get(member, target)
-            )
-            history = tier.node_stats.get(member) if tier is not None else None
-            if history:
-                worst = max(worst, now - history[-1]["ts"])
-        member_ages.append(worst)
+        ages = (sysprof.tier_of(member).staleness(member, now)
+                for member in target_members)
+        member_ages.append(max((age for age in ages if age is not None), default=0.0))
         if now + config.sample_interval <= duration:
             cluster.sim.schedule(config.sample_interval, sample_members)
 

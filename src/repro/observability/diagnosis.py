@@ -9,7 +9,9 @@ streaming analyses" that detect SLA violations *while the system runs*,
    :meth:`DiagnosisEngine.on_ingest`;
 2. at most once per ``eval_interval`` of simulated time the engine
    measures every :class:`~repro.observability.slo.SloRule` against the
-   merged sketches, the CPU ledger, and node staleness;
+   merged sketches, the CPU ledger, and node staleness — a rule that
+   names a node at the tier holding that node's records (its zone GPA
+   in a federation), every other rule at the root;
 3. a rule that fires produces an :class:`~repro.observability.slo.Alert`
    carrying **blame** — the node with the highest mean local residency
    over the recent window and its dominant stage (kernel-wait /
@@ -119,12 +121,13 @@ class DiagnosisEngine:
         self._last_eval = now
         self.evaluations += 1
         for rule in self.rules:
+            tier = self.sysprof.tier_of(rule.node) if rule.node else self.gpa
             value = rule.measure(
-                self.gpa, ledger=self.ledger, now=now,
+                tier, ledger=self.ledger, now=now,
                 lookback=rule.lookback or self.lookback,
             )
             transition = rule.update(
-                value, threshold=rule.effective_threshold(self.gpa)
+                value, threshold=rule.effective_threshold(tier)
             )
             if transition == "fire":
                 self._on_fire(rule, value, now)
@@ -289,7 +292,7 @@ class DiagnosisEngine:
         since = now - self.blame_window
         federation = self.sysprof.federation
         if rule.node:
-            tier = self._query_tier(rule.node)
+            tier = self.sysprof.tier_of(rule.node)
             report = self._ranked(find_bottleneck, tier, [rule.node], since)
             path = []
         elif federation is not None and federation.zones:
@@ -318,21 +321,6 @@ class DiagnosisEngine:
             # nodes); fall back to the whole history.
             report = find_bottleneck(tier, candidates)
         return report
-
-    def _query_tier(self, node):
-        """The tier holding raw records for ``node``: its zone GPA when
-        federated (the root only sees condensed rollups), else the root.
-        A reparented member's freshest records live at its *adopter*."""
-        federation = self.sysprof.federation
-        if federation is not None:
-            if node in federation.adopted:
-                adopter = federation._adopter_tier(federation.adopted[node])
-                if adopter is not None:
-                    return adopter
-            zone_gpa = federation.locate_member(node)
-            if zone_gpa is not None:
-                return zone_gpa
-        return self.gpa
 
     def _federated_descent(self, find_bottleneck, since):
         """Walk blame down the federation tree, root to leaf.
@@ -459,7 +447,7 @@ class DiagnosisEngine:
                 # rendering them as live rows.
                 label = node
                 if node in self.sysprof.monitors:
-                    age = self._staleness(node, now)
+                    age = self.sysprof.tier_of(node).staleness(node, now)
                     if age is None or age > self.gpa.stale_threshold:
                         label += " (stale)"
                 lines.append("  {:<12}{}".format(label, shares))
@@ -470,19 +458,6 @@ class DiagnosisEngine:
                 "drilled nodes: " + ", ".join(sorted(self._drill_open))
             )
         return "\n".join(lines)
-
-    def _staleness(self, node, now):
-        """Seconds since ``node``'s newest nodestats record (clock-
-        corrected), or ``None`` when its tier has never heard from it."""
-        tier = self._query_tier(node)
-        history = getattr(tier, "node_stats", {}).get(node)
-        if not history:
-            return None
-        last_ts = history[-1]["ts"]
-        table = getattr(tier, "clock_table", None)
-        if table is not None and table.known(node):
-            last_ts = table.to_reference(node, last_ts)
-        return max(0.0, now - last_ts)
 
     def stats(self):
         return {

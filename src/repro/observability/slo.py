@@ -8,7 +8,7 @@ would state the objective::
     qdepth_p99(nfs-write@backend) < 32   # queue-depth percentile
     cpu_share(backend1, monitoring) < 0.05   # ledger category share
     staleness(backend1) < 2s          # nodestats quiet time
-    staleness(backend1)               # ... defaulting to gpa.stale_threshold
+    staleness(backend1)               # ... defaulting to tier.stale_threshold
 
 Thresholds take ``us``/``ms``/``s`` suffixes (converted to seconds) or
 are unitless.  The comparison states the *objective*: an alert fires
@@ -22,8 +22,10 @@ Missing data counts as the SLO being met: a rule over a request class
 that produced no samples inside the lookback window neither fires nor
 accumulates clear evidence beyond what "no violation observed" implies.
 This module is pure policy — measurement lives in
-:meth:`SloRule.measure`, which only calls methods on the GPA/ledger
-objects handed to it, keeping the import graph acyclic.
+:meth:`SloRule.measure`, which only calls methods on the analyzer tier
+and ledger handed to it, keeping the import graph acyclic.  The caller
+picks the tier: a rule that names a node is measured at the tier that
+holds that node's records (:meth:`repro.core.toolkit.SysProf.tier_of`).
 """
 
 import re
@@ -106,8 +108,8 @@ class SloRule:
             return
         match = _STALENESS.match(expr)
         if match is not None:
-            # Threshold optional: None resolves to gpa.stale_threshold
-            # at measurement time.
+            # Threshold optional: None resolves to the tier's
+            # stale_threshold at measurement time.
             self.kind = "staleness"
             self.node = match.group("node").strip()
             if self.op is None:
@@ -124,11 +126,12 @@ class SloRule:
 
     # -- measurement -----------------------------------------------------
 
-    def measure(self, gpa, ledger=None, now=None, lookback=None):
-        """Current signal value, or ``None`` when no data is available."""
+    def measure(self, tier, ledger=None, now=None, lookback=None):
+        """Current signal value at analyzer ``tier``, or ``None`` when no
+        data is available."""
         if self.kind in ("latency", "qdepth"):
             since = None if lookback is None or now is None else now - lookback
-            sketch = gpa.sketches.merged(
+            sketch = tier.sketches.merged(
                 request_class=self.request_class, metric=self.kind
                 if self.kind == "latency" else "qdepth",
                 node=self.node, since=since,
@@ -146,23 +149,16 @@ class SloRule:
                 return None
             breakdown = ledger.breakdown(self.node, include_idle=False)
             return breakdown.get(self.category, 0.0) / busy
-        if self.kind == "staleness":
-            history = gpa.node_stats.get(self.node)
-            if not history or now is None:
-                return None
-            last_ts = history[-1]["ts"]
-            table = gpa.clock_table
-            if table is not None and table.known(self.node):
-                last_ts = table.to_reference(self.node, last_ts)
-            return max(0.0, now - last_ts)
+        if self.kind == "staleness" and now is not None:
+            return tier.staleness(self.node, now)
         return None
 
-    def effective_threshold(self, gpa=None):
-        """The objective threshold (staleness may default to the GPA's)."""
+    def effective_threshold(self, tier=None):
+        """The objective threshold (staleness may default to the tier's)."""
         if self.threshold is not None:
             return self.threshold
-        if self.kind == "staleness" and gpa is not None:
-            return gpa.stale_threshold
+        if self.kind == "staleness" and tier is not None:
+            return tier.stale_threshold
         return None
 
     # -- state machine ---------------------------------------------------

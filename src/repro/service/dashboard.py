@@ -66,7 +66,7 @@ def render(supervisor, width=60, spark_patterns=DEFAULT_SPARKS,
     lines.append("node health:")
     stale_threshold = supervisor.sysprof.gpa.stale_threshold
     for node in sorted(supervisor.sysprof.monitors):
-        staleness = supervisor.engine._staleness(node, now)
+        staleness = supervisor.sysprof.tier_of(node).staleness(node, now)
         if staleness is None:
             state = "no data"
         elif staleness > stale_threshold:

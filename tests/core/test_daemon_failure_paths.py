@@ -131,14 +131,10 @@ def test_gpa_frames_received_is_cumulative_across_restarts():
     sysprof.gpa.kill()
     _advance(cluster, 0.3)
     sysprof.gpa.restart()
-    # The fresh decoder starts at zero; the banked base keeps the
-    # operator-facing counter monotone.
+    # The operator-facing counter is cumulative across the restart.
     assert sysprof.gpa.stats()["frames_received"] >= before
     _advance(cluster, 2.0)
     sysprof.flush()
     after = sysprof.gpa.stats()["frames_received"]
     assert after > before
-    assert after == (
-        sysprof.gpa.frames_received_base
-        + sysprof.gpa.frame_decoder.frames_decoded
-    )
+    assert after == sysprof.gpa.frames_received

@@ -10,6 +10,7 @@ from repro.core.channels import ChannelHub
 from repro.core.lpa import SKETCH_FORMAT
 from repro.observability.sketches import QuantileSketch
 from repro.workloads.synthetic import install_synthetic_load
+from tests.core.helpers import build_monitored_pair
 
 
 def build_federated(seed=13, racks=2, per=2, eviction_interval=0.1,
@@ -54,7 +55,7 @@ def test_zone_condenses_member_frames_for_root():
     zone = sysprof.federation.zone("r0")
     # Members' frames terminated at the zone, not the root.
     assert zone.records_received > 0
-    assert sorted(zone.store.node_stats) == ["r0n0", "r0n1"]
+    assert sorted(zone.node_stats) == ["r0n0", "r0n1"]
     assert zone.forwards > 0
     assert zone.rows_forwarded > 0
     gpa = sysprof.gpa
@@ -118,7 +119,7 @@ def test_zone_restart_resends_descriptors_both_tiers():
     # decoded everything.
     assert daemon.publisher.format_sends > daemon_sends_before
     assert zone.decode_errors == 0
-    assert sorted(zone.store.node_stats) == ["r0n0", "r0n1"]
+    assert sorted(zone.node_stats) == ["r0n0", "r0n1"]
     # The zone's upward publisher re-sent descriptors too, and the root
     # kept decoding its rows.
     assert zone.publisher.stats()["format_sends"] > zone_sends_before
@@ -158,8 +159,8 @@ def test_nested_zones_forward_through_parent():
     cluster.run(until=2.0)
     inner = sysprof.federation.zone("inner")
     top = sysprof.federation.zone("super")
-    assert sorted(inner.store.node_stats) == ["leafa", "leafb"]
-    assert sorted(top.store.node_stats) == ["zone:inner"]
+    assert sorted(inner.node_stats) == ["leafa", "leafb"]
+    assert sorted(top.node_stats) == ["zone:inner"]
     assert sorted(sysprof.gpa.node_stats) == ["zone:super"]
     assert sysprof.gpa.decode_errors == 0
     assert top.children == ["inner"]
@@ -176,6 +177,49 @@ def test_federation_tree_lookups():
     assert federation.locate_member("mgmt") is None
     with pytest.raises(ValueError):
         federation.add(federation.zone("r0"))
+
+
+def test_tier_of_names_the_tier_holding_a_node():
+    _, sysprof = build_federated()
+    federation = sysprof.federation
+    # A member's raw rows terminate at its zone GPA; the root holds only
+    # the zone pseudo-nodes and anything outside every zone.
+    assert sysprof.tier_of("r0n0") is federation.zone("r0")
+    assert sysprof.tier_of("r1n1") is federation.zone("r1")
+    assert sysprof.tier_of("zone:r0") is sysprof.gpa
+    assert sysprof.tier_of("mgmt") is sysprof.gpa
+
+
+def test_tier_of_a_flat_node_is_the_root():
+    _, sysprof = build_monitored_pair()
+    assert sysprof.tier_of("server") is sysprof.gpa
+
+
+#: Each tier's ``stats()`` keys: the root's and a zone's (its publisher's
+#: counters flattened in).  ``bench/rep.py`` reads some of them by name.
+GPA_STATS_KEYS = {
+    "records_received", "interactions", "class_summaries", "cpa_metrics",
+    "syscall_summaries", "nodes_reporting", "frames_received",
+    "decode_errors", "ingress_bytes", "sketch_rows", "sketch_series",
+    "dumps_written", "queries_served", "restarts",
+}
+ZONE_STATS_KEYS = {
+    "records_received", "interactions", "class_summaries", "nodes_reporting",
+    "frames_received", "decode_errors", "ingress_bytes", "sketch_rows",
+    "sketch_series", "sketch_merges", "forwards", "rows_forwarded",
+    "forward_failures", "queries_served", "restarts",
+    "bytes_published", "publishes", "frames_published", "format_sends",
+    "send_errors", "connect_attempts", "reconnects", "backoff_skips",
+    "endpoints_abandoned", "parent_link",
+}
+
+
+def test_tier_stats_key_sets():
+    cluster, sysprof = build_federated()
+    cluster.run(until=1.0)
+    assert set(sysprof.gpa.stats()) == GPA_STATS_KEYS
+    for zone in sysprof.federation.all_zones():
+        assert set(zone.stats()) == ZONE_STATS_KEYS
 
 
 def test_zone_name_must_fit_str16():

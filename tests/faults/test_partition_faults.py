@@ -115,6 +115,28 @@ def test_gpa_partition_without_standby_escalates_to_root():
     assert not sysprof.gpa.stale_nodes(cluster.sim.now)
 
 
+@pytest.mark.parametrize("standbys", [True, False], ids=["standby", "root"])
+def test_tier_of_follows_a_reparented_member(standbys):
+    """While r0's members are failed over, their raw rows — and so their
+    staleness — live at the adopter: the standby zone r1, or the root
+    when no standby is configured.  After the heal they are r0's again."""
+    cluster, sysprof = build_federated(standbys=standbys)
+    injector = FaultInjector(cluster, sysprof=sysprof)
+    injector.arm(
+        FaultSchedule().parent_partition_window(1.0, 2.0, "r0", scope="gpa")
+    )
+    cluster.run(until=2.5)
+    federation = sysprof.federation
+    adopter = federation.zone("r1") if standbys else sysprof.gpa
+    for member in ("r0n0", "r0n1"):
+        assert sysprof.tier_of(member) is adopter
+        assert adopter.staleness(member, cluster.sim.now) < 1.0
+    assert sysprof.tier_of("r1n0") is federation.zone("r1")
+    cluster.run(until=6.0)
+    assert federation.adopted == {}
+    assert sysprof.tier_of("r0n0") is federation.zone("r0")
+
+
 def test_reparented_stream_does_not_corrupt_sibling_decode():
     """Regression for the shared-decoder bug: a reparented daemon's
     format descriptors land on the root alongside a zone uplink's, and

@@ -59,7 +59,7 @@ def _run_nfs(federated, seed=31):
     if federated:
         records = []
         for zone in sysprof.federation.all_zones():
-            records.extend(zone.store.query_interactions())
+            records.extend(zone.query_interactions())
     else:
         records = sysprof.gpa.query_interactions()
     records.sort(

@@ -6,6 +6,7 @@ from repro.core import SysProfConfig
 from repro.observability import DiagnosisEngine
 from repro.observability.slo import SloRule
 from tests.core.helpers import build_monitored_pair, drive_traffic
+from tests.core.test_federation import build_federated
 
 
 def _sketching_pair(**config_kwargs):
@@ -96,17 +97,41 @@ def test_dashboard_renders_sections():
     assert "drilled nodes: server" in text
 
 
-def test_staleness_rule_blames_quiet_node():
-    cluster, sysprof = _sketching_pair()
-    rule = SloRule("staleness(server) < 1s", fire_after=1)
+@pytest.mark.parametrize("federated", [False, True], ids=["flat", "federated"])
+def test_staleness_rule_blames_quiet_node(federated):
+    # Federated, the root sees only zone pseudo-nodes: the rule must be
+    # measured at r0n0's zone GPA, where its nodestats land.
+    if federated:
+        cluster, sysprof = build_federated()
+        node = "r0n0"
+    else:
+        cluster, sysprof = _sketching_pair()
+        node = "server"
+    rule = SloRule("staleness({}) < 1s".format(node), fire_after=1)
     engine = DiagnosisEngine(sysprof, rules=[rule], eval_interval=0.05)
-    drive_traffic(cluster, sysprof)
+    if federated:
+        cluster.run(until=2.0)
+    else:
+        drive_traffic(cluster, sysprof)
     assert not engine.active  # telemetry flowing: rule holds
     # Daemon dies; nodestats stop arriving; staleness crosses 1s.
-    sysprof.monitor("server").daemon.kill()
+    sysprof.monitor(node).daemon.kill()
     engine.evaluate(cluster.sim.now + 5.0)
     assert engine.active
     alert = next(iter(engine.active.values()))
     assert alert.blame == {
-        "node": "server", "stage": "stale", "reason": "telemetry quiet"
+        "node": node, "stage": "stale", "reason": "telemetry quiet"
     }
+
+
+def test_federated_node_latency_rule_reads_the_members_zone():
+    """``p95(rpc@r0n0)`` has samples only at r0's zone GPA (the root
+    merges zone rollups under ``zone:r0``)."""
+    cluster, sysprof = build_federated()
+    rule = SloRule("p95(rpc@r0n0) < 50ms")
+    engine = DiagnosisEngine(sysprof, rules=[rule], eval_interval=0.05)
+    cluster.run(until=3.0)
+    assert engine.evaluations > 0
+    assert rule.last_value is not None
+    assert 0.0 < rule.last_value < 0.050
+    assert not engine.active

@@ -28,6 +28,7 @@ REGISTERED = {
     "SyscallLPA",
     "SketchLPA",
     "CustomAnalyzer",             # via monitor.all_lpas() once installed
+    "AnalyzerTier",               # shared keys of the two tiers below
     "GlobalPerformanceAnalyzer",  # sysprof.gpa.<node>
     "ZoneGpa",                    # sysprof.zone.<zone>
     "RackTopology",               # sysprof.topology
@@ -45,7 +46,7 @@ REGISTERED = {
 # prefix — their numbers are already in the exposition text.
 INDIRECT = {
     "DoubleBuffer",    # lpa.stats() nests buffer counters
-    "FrameDecoder",    # gpa.stats() folds frames/records/filter counters
+    "FrameDecoder",    # one per connection; the tier counts frames_received
     "SketchStore",     # gpa.stats() exposes sketch_rows / sketch_series
     "ChannelPublisher",  # daemon.stats() / zone_gpa.stats() flatten its counters
     "ParentLink",      # publisher.stats() nests it under "parent_link"

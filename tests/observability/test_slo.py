@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tier import AnalyzerTier
 from repro.observability.slo import (
     Alert,
     SloParseError,
@@ -67,8 +68,6 @@ def test_rejected_rules(text):
 class _FakeGpa:
     def __init__(self, stale_threshold=1.0):
         self.stale_threshold = stale_threshold
-        self.node_stats = {}
-        self.clock_table = None
 
 
 def test_staleness_threshold_defaults_to_gpa():
@@ -81,10 +80,10 @@ def test_staleness_threshold_defaults_to_gpa():
 
 def test_staleness_measurement_uses_last_nodestats():
     rule = SloRule("staleness(backend1)")
-    gpa = _FakeGpa()
-    assert rule.measure(gpa, now=10.0) is None  # no history yet
-    gpa.node_stats["backend1"] = [{"ts": 7.0}]
-    assert rule.measure(gpa, now=10.0) == pytest.approx(3.0)
+    tier = AnalyzerTier(node=None, hub=None)
+    assert rule.measure(tier, now=10.0) is None  # no history yet
+    tier.ingest("sysprof.nodestats", [{"node": "backend1", "ts": 7.0}])
+    assert rule.measure(tier, now=10.0) == pytest.approx(3.0)
 
 
 def test_hysteresis_fire_and_clear():

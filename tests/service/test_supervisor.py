@@ -456,6 +456,35 @@ def test_reparent_events_stream_during_a_parent_partition():
         supervisor.shutdown()
 
 
+def test_federation_default_rule_fires_when_a_member_goes_quiet():
+    """The federated scenario's default rule, ``staleness(r0n0) < 2s``,
+    is measured at r0's zone GPA (the root sees only zone pseudo-nodes):
+    killing r0n0's daemon fires it, blaming r0n0, and the rule, the
+    staleness op and the dashboard agree on the node."""
+    supervisor = Supervisor("federation")
+    try:
+        client = ServiceClient(supervisor)
+        sub = client.subscribe(events=["alert"])
+        client.inject_fault(events=[
+            {"at": 1.0, "kind": "daemon_kill", "target": "r0n0"},
+        ])
+        supervisor.run(5.0)
+        fires = [
+            e["data"]["alert"] for e in client.poll(sub)
+            if e["data"]["state"] == "fire"
+        ]
+        assert [alert["rule"] for alert in fires] == ["staleness(r0n0) < 2s"]
+        assert fires[0]["blame"]["node"] == "r0n0"
+        assert 3.0 < fires[0]["fired_at"] < 4.0
+        nodes = client.call("staleness")["nodes"]
+        assert nodes["r0n0"] > 2.0
+        assert all(age < 1.0 for node, age in nodes.items() if node != "r0n0")
+        text = client.call("dashboard")["text"]
+        assert "r0n0         STALE" in text
+    finally:
+        supervisor.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # cross-thread submission
 # ---------------------------------------------------------------------------
