@@ -32,7 +32,9 @@ Encode and decode both run through the same cached multi-record
 chunk of records, so neither side does per-record header work.
 """
 
+import re
 import struct
+from itertools import accumulate
 
 _FRAME_MAGIC = 0xB10F  # multi-record frame
 _FRAME_HEADER = struct.Struct("<HHI")  # magic, format_id, record count
@@ -414,24 +416,39 @@ def pack_count_runs(counts):
     ordered = sorted(counts)
     base = ordered[0]
     parts = []
+    append = parts.append
     previous = base
     for index in ordered:
-        parts.append("{}:{}".format(index - previous, counts[index]))
+        append(f"{index - previous}:{counts[index]}")
         previous = index
     return base, ",".join(parts)
 
 
+#: Exactly the payloads :func:`pack_count_runs` emits: empty, or a first
+#: gap of 0 then gaps and counts of at least 1, in plain decimal.
+_COUNT_RUNS = re.compile(r"(?:0:[1-9][0-9]*(?:,[1-9][0-9]*:[1-9][0-9]*)*)?")
+
+
+def is_count_runs(payload):
+    """Whether ``payload`` is a string :func:`pack_count_runs` could have
+    emitted — the only strings :func:`iter_count_runs` may walk."""
+    return _COUNT_RUNS.fullmatch(payload) is not None
+
+
+def iter_count_runs(base, payload):
+    """Walk a packed table as ``(index, count)`` pairs in ascending index
+    order, keeping nothing.  ``payload`` must pass :func:`is_count_runs`.
+    """
+    if not payload:
+        return iter(())
+    numbers = list(map(int, payload.replace(":", ",").split(",")))
+    numbers[0] += int(base)  # the first index is base plus its gap
+    return zip(accumulate(numbers[0::2]), numbers[1::2])
+
+
 def unpack_count_runs(base, payload):
     """Inverse of :func:`pack_count_runs` — rebuild ``{index: count}``."""
-    counts = {}
-    if not payload:
-        return counts
-    index = int(base)
-    for entry in payload.split(","):
-        gap, _, count = entry.partition(":")
-        index += int(gap)
-        counts[index] = int(count)
-    return counts
+    return dict(iter_count_runs(base, payload))
 
 
 def encode_text(records, fmt=None):

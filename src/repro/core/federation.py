@@ -314,7 +314,9 @@ class ZoneGpa(AnalyzerTier):
         # count-weighted.  Dies with the process on kill().
         self._pending_sketches = {}  # (class, metric) -> [sketch, start, end]
         self._pending_classes = {}  # class -> weighted accumulator
-        self._member_last = {}  # member node -> latest nodestats record
+        # Member names the heartbeat sums, each read as node_stats[name][-1];
+        # a dict used as an ordered set, so the sums run in a fixed order.
+        self._member_last = {}
         self._forward_task = None
         self.forwards = 0
         self.rows_forwarded = 0
@@ -361,24 +363,24 @@ class ZoneGpa(AnalyzerTier):
     # -- ingest-side condensation ---------------------------------------
 
     def ingest(self, format_name, records):
-        sketches = super().ingest(format_name, records)
+        stored = super().ingest(format_name, records)
         if format_name == "sysprof.sketch":
-            self._accumulate_sketches(records, sketches)
+            self._accumulate_sketches(stored)
         elif format_name == "sysprof.class_summary":
             self._accumulate_summaries(records)
         elif format_name == "sysprof.nodestats":
             for record in records:
-                self._member_last[record["node"]] = record
+                self._member_last[record["node"]] = None
 
-    def _accumulate_sketches(self, records, sketches):
+    def _accumulate_sketches(self, stored):
         """Merge incoming sketch rows into the pending per-(class, metric)
         rollup at ingest time — windows are never re-read from the store,
         so nothing is dropped or double-counted across forward intervals.
 
-        ``sketches`` are the windows the store just parsed from
-        ``records``."""
+        ``stored`` holds the ``(record, sketch)`` pairs the store just
+        accepted; a refused row is folded nowhere."""
         to_reference = self.to_reference
-        for record, sketch in zip(records, sketches):
+        for record, sketch in stored:
             node = record["node"]
             if self._fold_sketch(
                     (record["request_class"], record["metric"]), sketch,
@@ -475,7 +477,8 @@ class ZoneGpa(AnalyzerTier):
             newest = 0.0
             busy = user = kernel = 0.0
             run_queue = ctx_switches = backlog = pending = 0
-            for node, record in self._member_last.items():
+            for node in self._member_last:
+                record = self.node_stats[node][-1]
                 newest = max(newest, self.to_reference(node, record["ts"]))
                 busy += record["cpu_busy"]
                 user += record["cpu_user"]
@@ -617,7 +620,16 @@ class FederationTree:
         return [z.zone_node for z in self.top_level()]
 
     def locate_member(self, node_name):
-        """The zone GPA whose members include ``node_name`` (None if flat)."""
+        """The zone GPA that ingests ``node_name``'s own rows: the zone
+        whose members include it or, for a zone pseudo-node
+        ``zone:<name>``, the zone whose children include ``<name>``
+        (None when the root ingests them)."""
+        if node_name.startswith(ZONE_NODE_PREFIX):
+            child = node_name[len(ZONE_NODE_PREFIX):]
+            for zone_gpa in self.zones.values():
+                if child in zone_gpa.children:
+                    return zone_gpa
+            return None
         for zone_gpa in self.zones.values():
             if node_name in zone_gpa.members:
                 return zone_gpa

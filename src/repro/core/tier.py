@@ -151,12 +151,14 @@ class AnalyzerTier:
         self.ingest(fmt.name, [dict(zip(names, row)) for row in rows])
 
     def ingest(self, format_name, records):
-        """Store one decoded batch; returns the stored sketches of a
-        ``sysprof.sketch`` batch, one per record (None for other
-        formats).  The sketches are the store's windows: read, don't
-        change."""
+        """Store one decoded batch; returns the ``(record, sketch)`` pairs
+        a ``sysprof.sketch`` batch stored (None for other formats).  The
+        sketches are the store's windows: read, don't change.  A sketch
+        row the store refuses (runs or ``alpha`` that no sketch could
+        have sent) counts in ``decode_errors``; the batch's other rows
+        are stored."""
         self.records_received += len(records)
-        sketches = None
+        stored = None
         if format_name == "sysprof.interaction":
             for record in records:
                 self._correct_times(record)
@@ -173,10 +175,15 @@ class AnalyzerTier:
             self.syscall_summaries.extend(records)
         elif format_name == "sysprof.sketch":
             store = self.sketches.ingest
-            sketches = [store(record) for record in records]
+            stored = []
+            for record in records:
+                try:
+                    stored.append((record, store(record)))
+                except ValueError:
+                    self.decode_errors += 1
         if self.diagnosis is not None:
             self.diagnosis.on_ingest(format_name, records)
-        return sketches
+        return stored
 
     def to_reference(self, node, ts):
         """``node``'s local timestamp ``ts`` on the reference timescale

@@ -331,7 +331,8 @@ class SysProf:
 
     def tier_of(self, node):
         """The analyzer tier holding ``node``'s raw records: the adopter
-        while the node is failed over, else its zone GPA, else the root
+        while the node is failed over, else its zone GPA (for a nested
+        zone's ``zone:<name>`` heartbeat, the parent zone), else the root
         (the root of a federation sees only condensed zone rollups)."""
         federation = self.federation
         if federation is not None:

@@ -22,6 +22,13 @@ A sketch serializes to one fixed-width row (``SKETCH_FORMAT`` in
 by :func:`repro.core.encoding.pack_count_runs`; :meth:`to_row` collapses
 until the payload fits, so a sketch row always has bounded size.
 
+A window rebuilt from a row (:meth:`QuantileSketch.from_row`, which the
+tiers' :class:`SketchStore` uses) keeps the row's run string as its
+bucket table, the way the paper's GPA keeps condensed windows in their
+compact binary form: reads that change nothing (``quantile``, ``copy``,
+``to_row``, merging it into another sketch) walk the runs and keep
+nothing, and the first change parses them into a dict once.
+
 Everything here is host-side arithmetic: the *simulated* CPU cost of
 updates and merges is charged separately (``CostModel.sketch_update`` /
 ``sketch_merge``) by the LPA and GPA code that drives these objects.
@@ -48,9 +55,9 @@ class QuantileSketch:
     """
 
     __slots__ = (
-        "alpha", "gamma", "_inv_log_gamma", "max_buckets", "buckets",
-        "zero_count", "count", "min_value", "max_value", "sum_value",
-        "collapses", "_floor",
+        "alpha", "gamma", "_inv_log_gamma", "max_buckets", "_buckets",
+        "_runs", "zero_count", "count", "min_value", "max_value",
+        "sum_value", "collapses", "_floor",
     )
 
     def __init__(self, alpha=0.01, max_buckets=256):
@@ -60,9 +67,14 @@ class QuantileSketch:
             raise ValueError("max_buckets must be >= 2")
         self.alpha = float(alpha)
         self.gamma = (1.0 + self.alpha) / (1.0 - self.alpha)
+        if self.gamma == 1.0:  # log(gamma) would be 0
+            raise ValueError("alpha {} is below float resolution".format(alpha))
         self._inv_log_gamma = 1.0 / math.log(self.gamma)
         self.max_buckets = int(max_buckets)
-        self.buckets = {}  # bucket index -> count
+        self._buckets = {}  # bucket index -> count; None while _runs is set
+        # A wire-form window's ``(base_index, payload)`` run string (see
+        # from_row), parsed into _buckets by the first change.
+        self._runs = None
         self.zero_count = 0
         self.count = 0
         self.min_value = math.inf
@@ -74,6 +86,27 @@ class QuantileSketch:
         # a low-heavy stream collapses on every insert).
         self._floor = None
 
+    @property
+    def buckets(self):
+        """The ``{index: count}`` table.  A wire-form window parses its
+        runs into it here, once, and keeps the dict from then on."""
+        if self._runs is not None:
+            from repro.core.encoding import unpack_count_runs
+
+            self._buckets = unpack_count_runs(*self._runs)
+            self._runs = None
+        return self._buckets
+
+    def _pairs(self):
+        """``(index, count)`` pairs without changing the sketch: walked
+        from a wire-form window's runs (ascending), else the table's
+        items."""
+        if self._runs is None:
+            return self._buckets.items()
+        from repro.core.encoding import iter_count_runs
+
+        return iter_count_runs(*self._runs)
+
     # -- update ----------------------------------------------------------
 
     def add(self, value, count=1):
@@ -83,11 +116,12 @@ class QuantileSketch:
             raise ValueError("count must be >= 1")
         value = float(value)
         if value > MIN_TRACKABLE:
+            buckets = self.buckets
             index = math.ceil(math.log(value) * self._inv_log_gamma)
             if self._floor is not None and index < self._floor:
                 index = self._floor
-            self.buckets[index] = self.buckets.get(index, 0) + count
-            if len(self.buckets) > self.max_buckets:
+            buckets[index] = buckets.get(index, 0) + count
+            if len(buckets) > self.max_buckets:
                 self._collapse_lowest()
         else:
             value = 0.0
@@ -232,9 +266,11 @@ class QuantileSketch:
                 "cannot merge sketches with different alpha "
                 "({} vs {})".format(self.alpha, other.alpha)
             )
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-        while len(self.buckets) > self.max_buckets:
+        buckets = self.buckets
+        get = buckets.get
+        for index, count in other._pairs():
+            buckets[index] = get(index, 0) + count
+        while len(buckets) > self.max_buckets:
             self._collapse_lowest()
         self.zero_count += other.zero_count
         self.count += other.count
@@ -247,9 +283,10 @@ class QuantileSketch:
     def _collapse_lowest(self):
         """Merge the two lowest buckets (low quantiles blur; the tail —
         what SLO rules read — keeps full resolution)."""
-        ordered = sorted(self.buckets)
+        buckets = self.buckets
+        ordered = sorted(buckets)
         lowest, second = ordered[0], ordered[1]
-        self.buckets[second] += self.buckets.pop(lowest)
+        buckets[second] += buckets.pop(lowest)
         self._floor = second
         self.collapses += 1
 
@@ -269,8 +306,11 @@ class QuantileSketch:
         cumulative = self.zero_count
         if cumulative > rank:
             return 0.0
-        for index in sorted(self.buckets):
-            cumulative += self.buckets[index]
+        pairs = self._pairs()
+        if self._runs is None:  # a walk of the runs is already ascending
+            pairs = sorted(pairs)
+        for index, count in pairs:
+            cumulative += count
             if cumulative > rank:
                 return self._value(index)
         return self.max_value
@@ -285,7 +325,11 @@ class QuantileSketch:
 
     def copy(self):
         duplicate = QuantileSketch(alpha=self.alpha, max_buckets=self.max_buckets)
-        duplicate.buckets = dict(self.buckets)
+        if self._runs is None:
+            duplicate._buckets = dict(self._buckets)
+        else:  # a str is immutable: the copy shares the run string
+            duplicate._buckets = None
+            duplicate._runs = self._runs
         duplicate.zero_count = self.zero_count
         duplicate.count = self.count
         duplicate.min_value = self.min_value
@@ -304,15 +348,20 @@ class QuantileSketch:
         Collapses lowest buckets until the run-length payload fits in
         ``width`` characters, so the row is always encodable into the
         fixed-width string field regardless of how spread the data is.
+        A wire-form window whose runs fit is returned as it came.
         """
         # Deferred import: repro.core.lpa imports this module, so a
         # top-level import of repro.core here would be circular.
         from repro.core.encoding import pack_count_runs
 
-        base, payload = pack_count_runs(self.buckets)
-        while len(payload) > width and len(self.buckets) > 1:
-            self._collapse_lowest()
+        runs = self._runs
+        if runs is not None and len(runs[1]) <= width:
+            base, payload = runs
+        else:
             base, payload = pack_count_runs(self.buckets)
+            while len(payload) > width and len(self.buckets) > 1:
+                self._collapse_lowest()
+                base, payload = pack_count_runs(self.buckets)
         empty = self.count == 0
         return (
             node,
@@ -332,15 +381,27 @@ class QuantileSketch:
 
     @classmethod
     def from_row(cls, record, max_buckets=None):
-        """Rebuild a sketch from a decoded ``SKETCH_FORMAT`` record dict."""
-        from repro.core.encoding import unpack_count_runs
+        """Rebuild a sketch from a decoded ``SKETCH_FORMAT`` record dict.
 
-        buckets = unpack_count_runs(record["base_index"], record["buckets"])
+        The sketch is a wire-form window: it keeps the row's
+        ``(base_index, buckets)`` runs as its table until something
+        changes it.  Raises ``ValueError`` for runs that
+        :func:`~repro.core.encoding.pack_count_runs` could not have
+        emitted and for an ``alpha`` the sketch refuses, so every kept
+        run string parses.
+        """
+        from repro.core.encoding import is_count_runs
+
+        payload = record["buckets"]
+        if not is_count_runs(payload):
+            raise ValueError("malformed bucket runs {!r}".format(payload[:40]))
         sketch = cls(
             alpha=record["alpha"],
-            max_buckets=max_buckets or max(256, len(buckets)),
+            max_buckets=max_buckets or max(256, _run_count(payload)),
         )
-        sketch.buckets = buckets
+        if payload:
+            sketch._buckets = None
+            sketch._runs = (int(record["base_index"]), payload)
         sketch.zero_count = int(record["zero_count"])
         sketch.count = int(record["count"])
         sketch.sum_value = float(record["sum_value"])
@@ -350,9 +411,16 @@ class QuantileSketch:
         return sketch
 
     def __repr__(self):
+        runs = self._runs
+        size = len(self._buckets) if runs is None else _run_count(runs[1])
         return "<QuantileSketch n={} buckets={} alpha={}>".format(
-            self.count, len(self.buckets), self.alpha
+            self.count, size, self.alpha
         )
+
+
+def _run_count(payload):
+    """Buckets in a run string (one ``gap:count`` entry each)."""
+    return payload.count(",") + 1 if payload else 0
 
 
 class SketchStore:
@@ -373,7 +441,10 @@ class SketchStore:
 
     def ingest(self, record):
         """Store one decoded sketch record (a dict of SKETCH_FORMAT fields)
-        and return the sketch it stored, which callers must not change."""
+        and return the sketch it stored, which callers must not change.
+        A row :meth:`QuantileSketch.from_row` refuses raises its
+        ``ValueError`` and stores nothing."""
+        sketch = QuantileSketch.from_row(record)
         node = record["node"]
         end = record["window_end"]
         if self.clock_table is not None and self.clock_table.known(node):
@@ -382,7 +453,6 @@ class SketchStore:
         windows = self.series.get(key)
         if windows is None:
             windows = self.series[key] = deque(maxlen=self.history)
-        sketch = QuantileSketch.from_row(record)
         windows.append((end, sketch))
         self.rows_ingested += 1
         return sketch

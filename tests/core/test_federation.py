@@ -8,6 +8,7 @@ from repro.cluster import Cluster, build_spine_leaf
 from repro.core import SysProf, SysProfConfig, ZoneGpa, ZoneSpec
 from repro.core.channels import ChannelHub
 from repro.core.lpa import SKETCH_FORMAT
+from repro.observability.diagnosis import DiagnosisEngine
 from repro.observability.sketches import QuantileSketch
 from repro.workloads.synthetic import install_synthetic_load
 from tests.core.helpers import build_monitored_pair
@@ -140,7 +141,9 @@ def test_zone_kill_degrades_only_that_zone():
     assert "zone:r1" not in stale
 
 
-def test_nested_zones_forward_through_parent():
+def build_nested():
+    """A 3-tier tree: zone ``inner`` (two leaves) under ``super``, which
+    forwards to the root GPA on ``mgmt``."""
     cluster = Cluster(seed=9)
     for name in ("leafa", "leafb", "mid", "top", "mgmt"):
         cluster.add_node(name)
@@ -156,6 +159,11 @@ def test_nested_zones_forward_through_parent():
     sysprof.install(zones=[spec], gpa_node="mgmt")
     install_synthetic_load(sysprof, samples_per_window=4)
     sysprof.start()
+    return cluster, sysprof
+
+
+def test_nested_zones_forward_through_parent():
+    cluster, sysprof = build_nested()
     cluster.run(until=2.0)
     inner = sysprof.federation.zone("inner")
     top = sysprof.federation.zone("super")
@@ -188,6 +196,27 @@ def test_tier_of_names_the_tier_holding_a_node():
     assert sysprof.tier_of("r1n1") is federation.zone("r1")
     assert sysprof.tier_of("zone:r0") is sysprof.gpa
     assert sysprof.tier_of("mgmt") is sysprof.gpa
+
+
+def test_nested_zone_staleness_rule_fires_at_its_parent_zone():
+    """A nested zone's heartbeat lands at its parent zone, which is where
+    ``staleness(zone:inner)`` is measured: the rule fires once ``inner``'s
+    GPA dies (measured at the root it read None and never fired)."""
+    cluster, sysprof = build_nested()
+    federation = sysprof.federation
+    top = federation.zone("super")
+    assert sysprof.tier_of("zone:inner") is top
+    assert sysprof.tier_of("zone:super") is sysprof.gpa
+    assert sysprof.tier_of("leafa") is federation.zone("inner")
+    engine = DiagnosisEngine(sysprof, rules=["staleness(zone:inner) < 1s"])
+    fired = []
+    engine.add_listener(fired.append)
+    cluster.sim.schedule(1.0, federation.zone("inner").kill, "test")
+    cluster.run(until=4.0)
+    assert "zone:inner" in top.stale_nodes(cluster.sim.now)
+    assert [event["state"] for event in fired] == ["fire"]
+    assert 1.0 < fired[0]["at"] < 3.0
+    assert engine.rules[0].last_value > 1.0
 
 
 def test_tier_of_a_flat_node_is_the_root():
@@ -280,10 +309,24 @@ def test_zone_parses_each_member_sketch_row_once(monkeypatch):
     monkeypatch.setattr(QuantileSketch, "from_row", classmethod(counted))
     records = _sketch_records(["n0", "n1", "n2"], windows=3)
     zone.ingest("sysprof.sketch", records)
-    # One parse per row: the store's window feeds the pending rollup.
+    # One from_row per row: the store's window feeds the pending rollup.
     assert len(parses) == len(records) == 9
     assert zone.sketches.rows_ingested == 9
     assert zone.sketch_merges == 8
+    rollup = zone._pending_sketches[("rpc", "latency")][0]
+    assert rollup.count == sum(record["count"] for record in records)
+
+
+def test_zone_folds_only_the_sketch_rows_it_accepts():
+    cluster = Cluster(seed=1)
+    cluster.add_node("a")
+    zone = ZoneGpa("z0", cluster.node("a"), ChannelHub())
+    records = _sketch_records(["n0", "n1"], windows=2)
+    refused = [dict(records[0], buckets="0:1,0:2"), dict(records[1], alpha=1.5)]
+    zone.ingest("sysprof.sketch", refused + records)
+    assert zone.decode_errors == 2
+    assert zone.sketches.rows_ingested == len(records)
+    assert zone.sketch_merges == len(records) - 1
     rollup = zone._pending_sketches[("rpc", "latency")][0]
     assert rollup.count == sum(record["count"] for record in records)
 

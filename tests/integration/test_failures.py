@@ -5,7 +5,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import SysProfConfig, encoding
 from repro.core.encoding import FormatRegistry, encode_frame
+from repro.core.lpa import SKETCH_FORMAT
 from repro.netsim import Address, Packet
+from repro.observability.sketches import QuantileSketch
 from tests.core.helpers import (
     build_monitored_pair,
     drive_traffic,
@@ -161,6 +163,31 @@ def test_zero_width_frame_counted_and_connection_keeps_ingesting(
     ])
     assert sysprof.gpa.decode_errors == 1
     assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
+
+
+def test_malformed_sketch_rows_counted_and_the_rest_stored():
+    """Regression: a sketch row whose bucket runs do not parse raised
+    ValueError out of ``cluster.run()`` (and so did an ``alpha`` outside
+    (0, 1)).  Each is now one decode error; the frame's valid row is
+    stored and the run goes on."""
+    cluster, sysprof = build_monitored_pair()
+    fmt = FormatRegistry().register(*SKETCH_FORMAT)
+    sketch = QuantileSketch().extend([0.001, 0.002, 0.004, 0.0])
+    valid = dict(zip(fmt.names, sketch.to_row("server", "probe", "latency", 0.0, 1.0)))
+    rows = [dict(valid, buckets="x:1"), dict(valid, alpha=0.0), valid]
+    _send_on_one_connection(cluster, [
+        ("sysprof-fmt", fmt.describe()),
+        ("sysprof-frame", encode_frame(fmt, rows)),
+    ])
+    gpa = sysprof.gpa
+    assert gpa.decode_errors == 2
+    assert gpa.sketches.rows_ingested == 1
+    stored = gpa.sketches.merged("probe")
+    assert stored.count == 4
+    assert stored.quantile(0.99) == sketch.quantile(0.99)
+    now = cluster.sim.now
+    cluster.run(until=now + 0.5)
+    assert cluster.sim.now == now + 0.5
 
 
 def test_server_crash_mid_run_leaves_partial_records():
