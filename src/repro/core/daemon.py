@@ -13,9 +13,10 @@ earlier Dproc system did) and drives the periodic eviction timer that
 flushes partially-filled buffers and samples node statistics.
 
 Every wakeup coalesces all drained LPA buffers into one multi-record
-*frame* per channel, packed through the cached per-format packers (see
-:mod:`repro.core.encoding`).  The ``data_filter`` is pushed down to run
-right after each drain, so filtered records never pay any encode cost.
+*frame* per channel, each record packed through its format's record
+``Struct`` (see :mod:`repro.core.encoding`).  The ``data_filter`` is
+pushed down to run right after each drain, so filtered records never
+pay any encode cost.
 Simulated CPU is charged ``record_copy`` per drained record, then
 ``frame_encode_base + record_encode * n`` per frame (the base defaults
 to zero).

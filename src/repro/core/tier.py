@@ -154,9 +154,9 @@ class AnalyzerTier:
         """Store one decoded batch; returns the ``(record, sketch)`` pairs
         a ``sysprof.sketch`` batch stored (None for other formats).  The
         sketches are the store's windows: read, don't change.  A sketch
-        row the store refuses (runs or ``alpha`` that no sketch could
-        have sent) counts in ``decode_errors``; the batch's other rows
-        are stored."""
+        row the store refuses (runs, ``alpha`` or ``base_index`` that no
+        sketch could have sent) counts in ``decode_errors``; the batch's
+        other rows are stored."""
         self.records_received += len(records)
         stored = None
         if format_name == "sysprof.interaction":

@@ -35,6 +35,7 @@ updates and merges is charged separately (``CostModel.sketch_update`` /
 """
 
 import math
+import sys
 from collections import deque
 
 #: Metrics the interaction sketch emitter maintains per request class.
@@ -45,6 +46,10 @@ SKETCH_PAYLOAD_WIDTH = 2560
 
 #: Values at or below this are counted in the zero bucket (exact).
 MIN_TRACKABLE = 1e-9
+
+#: ``log`` of the largest float: ``gamma ** index`` is finite while
+#: ``abs(index) * log(gamma)`` stays below it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class QuantileSketch:
@@ -294,8 +299,13 @@ class QuantileSketch:
 
     def _value(self, index):
         """Midpoint estimate for a bucket: within ``alpha`` of any true
-        value in ``(gamma**(i-1), gamma**i]``."""
-        return 2.0 * self.gamma ** index / (self.gamma + 1.0)
+        value in ``(gamma**(i-1), gamma**i]``.  A bucket whose estimate
+        overflows the float range answers the window's ``max_value``."""
+        try:
+            value = 2.0 * self.gamma ** index / (self.gamma + 1.0)
+        except OverflowError:
+            return self.max_value
+        return value if value < math.inf else self.max_value
 
     def quantile(self, q):
         """The q-quantile estimate (``q`` in [0, 1]); None when empty."""
@@ -387,8 +397,10 @@ class QuantileSketch:
         ``(base_index, buckets)`` runs as its table until something
         changes it.  Raises ``ValueError`` for runs that
         :func:`~repro.core.encoding.pack_count_runs` could not have
-        emitted and for an ``alpha`` the sketch refuses, so every kept
-        run string parses.
+        emitted, for an ``alpha`` the sketch refuses and for a
+        ``base_index`` past the indices whose ``gamma ** index`` is a
+        float (±35,487 at ``alpha`` 0.01), so every kept run string
+        parses and starts in range.
         """
         from repro.core.encoding import is_count_runs
 
@@ -399,9 +411,12 @@ class QuantileSketch:
             alpha=record["alpha"],
             max_buckets=max_buckets or max(256, _run_count(payload)),
         )
+        base = int(record["base_index"])
+        if abs(base) > _LOG_FLOAT_MAX * sketch._inv_log_gamma:
+            raise ValueError("base_index {} is past the float range".format(base))
         if payload:
             sketch._buckets = None
-            sketch._runs = (int(record["base_index"]), payload)
+            sketch._runs = (base, payload)
         sketch.zero_count = int(record["zero_count"])
         sketch.count = int(record["count"])
         sketch.sum_value = float(record["sum_value"])

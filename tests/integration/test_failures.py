@@ -165,22 +165,22 @@ def test_zero_width_frame_counted_and_connection_keeps_ingesting(
     assert len(sysprof.gpa.query_interactions(request_class="probe")) == 1
 
 
-def test_malformed_sketch_rows_counted_and_the_rest_stored():
-    """Regression: a sketch row whose bucket runs do not parse raised
-    ValueError out of ``cluster.run()`` (and so did an ``alpha`` outside
-    (0, 1)).  Each is now one decode error; the frame's valid row is
-    stored and the run goes on."""
+def _check_bad_sketch_rows_refused(*edits):
+    """Send one frame of sketch rows to a monitored pair's GPA: the
+    valid ``probe`` row changed by each of ``edits``, then the valid row
+    itself.  Each changed row is one decode error, the valid row is
+    stored, and the run goes on."""
     cluster, sysprof = build_monitored_pair()
     fmt = FormatRegistry().register(*SKETCH_FORMAT)
     sketch = QuantileSketch().extend([0.001, 0.002, 0.004, 0.0])
     valid = dict(zip(fmt.names, sketch.to_row("server", "probe", "latency", 0.0, 1.0)))
-    rows = [dict(valid, buckets="x:1"), dict(valid, alpha=0.0), valid]
+    rows = [dict(valid, **edit) for edit in edits] + [valid]
     _send_on_one_connection(cluster, [
         ("sysprof-fmt", fmt.describe()),
         ("sysprof-frame", encode_frame(fmt, rows)),
     ])
     gpa = sysprof.gpa
-    assert gpa.decode_errors == 2
+    assert gpa.decode_errors == len(edits)
     assert gpa.sketches.rows_ingested == 1
     stored = gpa.sketches.merged("probe")
     assert stored.count == 4
@@ -188,6 +188,21 @@ def test_malformed_sketch_rows_counted_and_the_rest_stored():
     now = cluster.sim.now
     cluster.run(until=now + 0.5)
     assert cluster.sim.now == now + 0.5
+
+
+def test_malformed_sketch_rows_counted_and_the_rest_stored():
+    """Regression: a sketch row whose bucket runs do not parse raised
+    ValueError out of ``cluster.run()`` (and so did an ``alpha`` outside
+    (0, 1)).  Each is now one decode error."""
+    _check_bad_sketch_rows_refused({"buckets": "x:1"}, {"alpha": 0.0})
+
+
+def test_sketch_row_past_the_float_range_counted_and_the_rest_stored():
+    """Regression: a row with valid runs and ``base_index`` 10**6 was
+    stored, and every quantile of it raised OverflowError, which an SLO
+    rule on its class raised out of ``cluster.run()``.  It is now one
+    decode error."""
+    _check_bad_sketch_rows_refused({"base_index": 10**6})
 
 
 def test_server_crash_mid_run_leaves_partial_records():
