@@ -19,7 +19,6 @@ base seed and the point's label; nothing here ever consults wall-clock
 time or process ids.
 """
 
-import multiprocessing
 import os
 import zlib
 
@@ -68,6 +67,10 @@ def run_points(fn, points, jobs=1):
     if jobs == 1 or len(points) <= 1:
         return [fn(point) for point in points]
     _STATS["parallel_sweeps"] += 1
+    # Imported here: the metrics registry loads this module into every
+    # scenario process, and only a parallel sweep needs the pool.
+    import multiprocessing
+
     # fork (where available) inherits the imported modules, which keeps
     # worker start-up cheap; spawn is the portable fallback.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"

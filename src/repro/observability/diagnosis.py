@@ -4,9 +4,10 @@ Ties the streaming pieces into the paper's closed loop ("runtime
 streaming analyses" that detect SLA violations *while the system runs*,
 §1/§3.2):
 
-1. frames arrive at the GPA and land in its sketch store / nodestats
-   history; the GPA offers every ingested batch to
-   :meth:`DiagnosisEngine.on_ingest`;
+1. frames arrive at the GPA (and, in a federation, at every zone GPA)
+   and land in its sketch store / nodestats history; each tier offers
+   every ingested batch to :meth:`DiagnosisEngine.on_ingest`, so rules
+   measured at a zone keep evaluating when the root dies;
 2. at most once per ``eval_interval`` of simulated time the engine
    measures every :class:`~repro.observability.slo.SloRule` against the
    merged sketches, the CPU ledger, and node staleness — a rule that
@@ -68,14 +69,19 @@ class DiagnosisEngine:
         self._last_eval = None
         self._alert_seq = 0     # monotone alert-id source (rule + anomaly)
         self._listeners = []    # fns called with fire/clear event dicts
-        self.gpa.diagnosis = self
+        self._tiers = [self.gpa]
+        if sysprof.federation is not None:
+            self._tiers += sysprof.federation.all_zones()
+        for tier in self._tiers:
+            tier.diagnosis = self
         if sysprof.metrics is not None:
             sysprof.metrics.register_source("sysprof.diagnosis", self.stats)
 
     def detach(self):
-        """Unhook from the GPA's ingest path."""
-        if self.gpa.diagnosis is self:
-            self.gpa.diagnosis = None
+        """Unhook from every tier's ingest path."""
+        for tier in self._tiers:
+            if tier.diagnosis is self:
+                tier.diagnosis = None
 
     # ------------------------------------------------------------------
     # alert events (service subscriptions)
@@ -108,7 +114,7 @@ class DiagnosisEngine:
     # ------------------------------------------------------------------
 
     def on_ingest(self, format_name, records):
-        """GPA hook: rate-limited evaluation as telemetry arrives."""
+        """Tier hook: rate-limited evaluation as telemetry arrives."""
         if format_name not in ("sysprof.sketch", "sysprof.nodestats"):
             return
         now = self.gpa.node.sim.now

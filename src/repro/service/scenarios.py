@@ -37,11 +37,31 @@ Four scenarios ship (mirroring the paper's evaluation workloads):
 
 from dataclasses import replace
 
+# Every builder's application and workload modules load with the
+# registry, not inside a builder, so each scenario process loads the
+# same layers whichever scenario it builds (and the scenario benchmark's
+# traced rep charges each layer's import to that layer).
+from repro.apps.nfs.client import NfsMount
+from repro.apps.nfs.service import VirtualStorageService
+from repro.apps.rubis.requests import BIDDING, COMMENT
+from repro.apps.rubis.site import RubisSite
+from repro.apps.scheduling import (
+    DwcsScheduler,
+    DwcsStream,
+    LoadMonitor,
+    RequestDispatcher,
+    ResourceAwareRouter,
+    RoundRobinRouter,
+)
 from repro.cluster import Cluster, NodeClock, build_spine_leaf, synchronize
 from repro.core import SysProf, SysProfConfig, ZoneSpec
 from repro.faults import FaultInjector
 from repro.observability import DiagnosisEngine
 from repro.observability import ledger as cpu_ledger
+from repro.ossim.costs import CostModel
+from repro.workloads.httperf import HttperfConfig, spawn_httperf
+from repro.workloads.iozone import IozoneResults, spawn_iozone
+from repro.workloads.synthetic import install_synthetic_load
 
 #: Each scenario's default monitoring plane (copied per build).
 NFS_MONITORING = SysProfConfig(eviction_interval=0.2, latency_sketches=True)
@@ -143,8 +163,6 @@ def _engine(sysprof, rules, diagnosis, ledger):
 def _nfs_writer(ctx, server, path, record_bytes=16384, burst=8, think=0.01):
     """One iozone-style thread that never finishes: write bursts with a
     COMMIT and a think pause, looping over a bounded file region."""
-    from repro.apps.nfs.client import NfsMount
-
     mount = NfsMount(ctx, server, pipeline=4)
     yield from mount.connect()
     yield from mount.lookup(path)
@@ -172,13 +190,9 @@ def build_nfs(seed=11, clients=1, backends=2, iozone=None, clock_skew=False,
     for the GPA to correct.  ``schedule`` is a
     :class:`~repro.faults.FaultSchedule` armed before traffic starts.
     """
-    from repro.apps.nfs.service import VirtualStorageService
-
     ledger, owns = _ledger(rules)
     costs = None
     if disk_transfer_bps is not None:
-        from repro.ossim.costs import CostModel
-
         costs = CostModel().override(disk_transfer_bps=disk_transfer_bps)
     cluster = Cluster(seed=seed, costs=costs)
     client_names = ["client{}".format(i + 1) for i in range(clients)]
@@ -216,8 +230,6 @@ def build_nfs(seed=11, clients=1, backends=2, iozone=None, clock_skew=False,
                     "proxy", "/data/{}/file{}".format(client, thread_id),
                 )
     else:
-        from repro.workloads.iozone import IozoneResults, spawn_iozone
-
         traffic = "{} clients x {} iozone threads x {} ops".format(
             clients, iozone.threads, iozone.ops_per_thread
         )
@@ -251,18 +263,6 @@ def build_rubis(seed=29, httperf=None, scheduler="dwcs", drop_factor=None,
         raise ValueError("scheduler must be 'dwcs' or 'radwcs'")
     if scheduler == "radwcs" and monitoring is None:
         raise ValueError("radwcs requires monitoring (it consumes SysProf data)")
-    from repro.apps.rubis.requests import BIDDING, COMMENT
-    from repro.apps.rubis.site import RubisSite
-    from repro.apps.scheduling import (
-        DwcsScheduler,
-        DwcsStream,
-        LoadMonitor,
-        RequestDispatcher,
-        ResourceAwareRouter,
-        RoundRobinRouter,
-    )
-    from repro.workloads.httperf import HttperfConfig, spawn_httperf
-
     httperf = httperf or HttperfConfig(duration=3600.0)
     servlets = ("servlet1", "servlet2")
     ledger, owns = _ledger(rules if monitoring is not None else ())
@@ -324,8 +324,6 @@ def build_federation(seed=19, zones=2, nodes_per_zone=3, federated=True,
     ``mgmt`` (``standbys``: zone ``i`` covers for zone ``i+1``, a ring);
     flat, every member reports to the root and the rack GPA hosts idle.
     """
-    from repro.workloads.synthetic import install_synthetic_load
-
     ledger, owns = _ledger(rules)
     cluster = Cluster(seed=seed)
     topology = build_spine_leaf(
@@ -367,8 +365,6 @@ def build_federation(seed=19, zones=2, nodes_per_zone=3, federated=True,
 def build_synthetic(seed=17, nodes=4, monitoring=SYNTHETIC_MONITORING,
                     rules=("p95(rpc) < 50ms",)):
     """Flat install with synthetic LPAs: pure monitoring-plane traffic."""
-    from repro.workloads.synthetic import install_synthetic_load
-
     ledger, owns = _ledger(rules)
     cluster = Cluster(seed=seed)
     names = ["n{}".format(i) for i in range(nodes)]

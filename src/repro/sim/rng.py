@@ -6,9 +6,19 @@ existing components — a prerequisite for comparing monitor-on vs
 monitor-off runs of the *same* workload.
 """
 
-import hashlib
 import math
 import random
+
+# The interpreter's builtin sha256, as ``random`` takes its sha512:
+# ``hashlib`` would load OpenSSL's libcrypto (about 3.5 MB resident)
+# into every simulation process for one digest per stream.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 
 class RandomStreams:
@@ -29,18 +39,14 @@ class RandomStreams:
         """The substream for ``name`` (created on first use)."""
         stream = self._streams.get(name)
         if stream is None:
-            digest = hashlib.sha256(
-                "{}/{}".format(self.seed, name).encode("utf-8")
-            ).digest()
+            digest = sha256("{}/{}".format(self.seed, name).encode("utf-8")).digest()
             stream = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = stream
         return stream
 
     def fork(self, name):
         """A child :class:`RandomStreams` rooted at ``name``."""
-        digest = hashlib.sha256(
-            "{}//{}".format(self.seed, name).encode("utf-8")
-        ).digest()
+        digest = sha256("{}//{}".format(self.seed, name).encode("utf-8")).digest()
         return RandomStreams(int.from_bytes(digest[:8], "big"))
 
 

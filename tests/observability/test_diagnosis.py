@@ -124,6 +124,26 @@ def test_staleness_rule_blames_quiet_node(federated):
     }
 
 
+def test_zone_ingest_evaluates_rules_after_the_root_dies():
+    """Every tier's ingest drives evaluation: with the root GPA and
+    r0n0's daemon dead, r0's zone GPA still ingests, so the staleness
+    rule on r0n0 measured there fires (when only the root's ingest
+    evaluated, the run stopped at 3 evaluations and fired nothing)."""
+    cluster, sysprof = build_federated()
+    engine = DiagnosisEngine(sysprof, rules=["staleness(r0n0) < 2s"])
+    cluster.run(until=1.0)
+    sysprof.gpa.kill()
+    sysprof.monitor("r0n0").daemon.kill()
+    cluster.run(until=5.0)
+    assert engine.evaluations == 49
+    [alert] = engine.alerts
+    assert alert.fired_at == pytest.approx(3.0015, abs=1e-3)
+    assert alert.blame["node"] == "r0n0"
+    engine.detach()
+    tiers = [sysprof.gpa] + sysprof.federation.all_zones()
+    assert all(tier.diagnosis is None for tier in tiers)
+
+
 def test_federated_node_latency_rule_reads_the_members_zone():
     """``p95(rpc@r0n0)`` has samples only at r0's zone GPA (the root
     merges zone rollups under ``zone:r0``)."""

@@ -1,6 +1,7 @@
 """Scenario builders: every supervised workload boots and makes traffic."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -179,3 +180,45 @@ def test_scenarios_run_without_loading_numpy():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+#: Run in a fresh interpreter: every scenario to 0.3 s, then one
+#: supervised slice and the read-only queries a live service answers.
+LEAN_PROCESS = """
+import json, sys
+import repro.service
+for name in sorted(repro.service.SCENARIOS):
+    with repro.service.build_scenario(name) as scenario:
+        scenario.cluster.run(until=0.3)
+supervisor = repro.service.Supervisor("nfs")
+supervisor.pump()
+for op in ("status", "metrics", "ledger", "alerts", "staleness", "dashboard"):
+    assert supervisor.handle({"op": op, "params": {}})["ok"], op
+supervisor.shutdown()
+from repro.sim import rng
+print(json.dumps({
+    "experiments": sorted(m for m in sys.modules if m.startswith("repro.experiments.")),
+    "unwanted": [m for m in ("multiprocessing", "_hashlib") if m in sys.modules],
+    "layers": [m for m in ("repro.apps", "repro.workloads") if m in sys.modules],
+    "sha256": rng.sha256.__module__,
+}))
+"""
+
+
+def test_scenario_process_loads_only_what_it_runs():
+    """A simulation process loads no experiment driver but the sweep
+    runner (the metrics registry's ``sysprof.runner`` source), neither
+    ``multiprocessing`` nor OpenSSL (``_hashlib``: the random streams
+    hash with the interpreter's builtin sha256), and every layer its
+    scenarios run, from the registry's own imports."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", LEAN_PROCESS], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert json.loads(out) == {
+        "experiments": ["repro.experiments.runner"],
+        "unwanted": [],
+        "layers": ["repro.apps", "repro.workloads"],
+        "sha256": "_sha2" if sys.version_info >= (3, 12) else "_sha256",
+    }
