@@ -104,7 +104,7 @@ def execute_query(gpa, kind, params):
             since=params.get("since"),
             client_ip=params.get("client_ip"),
             server_ip=params.get("server_ip"),
+            limit=limit,
         )
-        records = records[-limit:] if limit else []
         return records, 64 + 180 * len(records)
     raise GpaQueryError("unknown query kind: {!r}".format(kind))
