@@ -43,7 +43,7 @@ def test_remote_interactions_with_limit():
     assert all(record["node"] == "server" for record in records)
 
 
-@pytest.mark.parametrize("limit, returned", [(0, 0), (50, 10)])
+@pytest.mark.parametrize("limit, returned", [(0, 0), (15, 10), (50, 10)])
 def test_remote_interactions_limit_bounds_the_reply(limit, returned):
     cluster, sysprof = build_monitored_pair()
     drive_traffic(cluster, sysprof, count=10)
