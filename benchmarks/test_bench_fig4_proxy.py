@@ -5,7 +5,7 @@ almost constant for different number of client threads but the kernel
 time goes up because of increase in the request traffic."
 """
 
-from repro.experiments import NfsExperimentConfig, run_nfs_experiment
+from repro.experiments.nfs_storage import NfsExperimentConfig, run_nfs_experiment
 from benchmarks.conftest import report
 
 CONFIG = NfsExperimentConfig(thread_counts=(1, 2, 4, 8, 16), ops_per_thread=20)

@@ -6,7 +6,7 @@ order [of] magnitude than the time spent in the proxy", and the network
 round-trip is insignificant (< 0.3 ms).
 """
 
-from repro.experiments import NfsExperimentConfig, run_nfs_experiment
+from repro.experiments.nfs_storage import NfsExperimentConfig, run_nfs_experiment
 from benchmarks.conftest import report
 
 CONFIG = NfsExperimentConfig(thread_counts=(1, 2, 4, 8, 16), ops_per_thread=20)

@@ -6,7 +6,7 @@ responses/sec; halfway through, background load on one servlet degrades
 throughput.
 """
 
-from repro.experiments import RubisExperimentConfig, run_rubis_experiment
+from repro.experiments.rubis_qos import RubisExperimentConfig, run_rubis_experiment
 from benchmarks.conftest import report
 
 CONFIG = RubisExperimentConfig(duration=20.0, load_at=10.0)

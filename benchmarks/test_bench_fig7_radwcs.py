@@ -6,7 +6,7 @@ insignificant drop in performance"; headline: >14% throughput gain for
 <2% monitoring cost.
 """
 
-from repro.experiments import (
+from repro.experiments.rubis_qos import (
     RubisExperimentConfig,
     monitoring_cost_experiment,
     run_comparison,

@@ -8,7 +8,7 @@ Paper anchors:
 * overhead configurable from <1% to >10%.
 """
 
-from repro.experiments import (
+from repro.experiments.microbench import (
     iperf_experiment,
     linpack_experiment,
     overhead_range_experiment,

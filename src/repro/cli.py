@@ -50,7 +50,7 @@ def _cmd_list(_args):
 
 
 def _cmd_microbench(args):
-    from repro.experiments import (
+    from repro.experiments.microbench import (
         overhead_range_experiment,
         run_headline_experiments,
     )
@@ -120,7 +120,7 @@ def _cmd_calibrate(args):
 
 
 def _cmd_nfs(args):
-    from repro.experiments import NfsExperimentConfig, run_thread_sweep
+    from repro.experiments.nfs_storage import NfsExperimentConfig, run_thread_sweep
 
     threads = tuple(int(part) for part in args.threads.split(","))
     config = NfsExperimentConfig(
@@ -145,7 +145,8 @@ def _cmd_nfs(args):
 
 
 def _cmd_rubis(args):
-    from repro.experiments import RubisExperimentConfig
+    from repro.experiments.rubis_qos import RubisExperimentConfig, _comparison_point
+    from repro.experiments.runner import run_points
 
     config = RubisExperimentConfig(
         duration=args.duration, load_at=args.duration / 2.0
@@ -153,8 +154,6 @@ def _cmd_rubis(args):
     schedulers = (
         ("dwcs", "radwcs") if args.scheduler == "both" else (args.scheduler,)
     )
-    from repro.experiments import run_points
-    from repro.experiments.rubis_qos import _comparison_point
 
     measured = run_points(
         _comparison_point,
@@ -185,8 +184,11 @@ def _cmd_rubis(args):
 def _cmd_failures(args):
     from dataclasses import replace
 
-    from repro.experiments import FailureExperimentConfig, run_failure_experiment
-    from repro.experiments.failures import SCENARIOS
+    from repro.experiments.failures import (
+        SCENARIOS,
+        FailureExperimentConfig,
+        run_failure_experiment,
+    )
 
     base = FailureExperimentConfig(
         seed=args.seed,
@@ -218,8 +220,11 @@ def _cmd_failures(args):
 def _cmd_diagnose(args):
     from dataclasses import replace
 
-    from repro.experiments import run_diagnose_experiment
-    from repro.experiments.diagnose import DiagnoseConfig, smoke_config
+    from repro.experiments.diagnose import (
+        DiagnoseConfig,
+        run_diagnose_experiment,
+        smoke_config,
+    )
 
     config = smoke_config() if args.smoke else DiagnoseConfig()
     if args.seed is not None:
@@ -267,8 +272,11 @@ def _observe_config(args):
 
 
 def _cmd_overhead(args):
-    from repro.experiments import run_overhead_experiment
-    from repro.experiments.observe import breakdown_rows, monitoring_seconds
+    from repro.experiments.observe import (
+        breakdown_rows,
+        monitoring_seconds,
+        run_overhead_experiment,
+    )
     from repro.observability.ledger import CATEGORIES
 
     points = run_overhead_experiment(_observe_config(args))
@@ -301,7 +309,7 @@ def _cmd_overhead(args):
 def _cmd_trace(args):
     import json
 
-    from repro.experiments import run_trace_experiment
+    from repro.experiments.observe import run_trace_experiment
     from repro.observability import validate_chrome_trace
 
     doc, ledger = run_trace_experiment(_observe_config(args), path=args.out)

@@ -33,7 +33,7 @@ def test_periodic_dumper_writes_files(tmp_path):
 
 
 def test_nfs_experiment_raises_when_simulation_too_short():
-    from repro.experiments import NfsExperimentConfig, run_nfs_experiment
+    from repro.experiments.nfs_storage import NfsExperimentConfig, run_nfs_experiment
 
     config = NfsExperimentConfig(
         thread_counts=(2,), ops_per_thread=30, sim_limit=0.05

@@ -2,7 +2,7 @@
 
 import time
 
-from repro.experiments import available_jobs, derive_seed, run_points
+from repro.experiments.runner import available_jobs, derive_seed, run_points
 
 
 def _square(x):

@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.experiments import FailureExperimentConfig, run_failure_experiment
+from repro.experiments.failures import FailureExperimentConfig, run_failure_experiment
 
 # One shared, shortened config: the stock 30s run is benchmark-sized.
 _BASE = FailureExperimentConfig(

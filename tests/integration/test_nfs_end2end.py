@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import find_bottleneck
-from repro.experiments import NfsExperimentConfig, run_nfs_experiment
+from repro.experiments.nfs_storage import NfsExperimentConfig, run_nfs_experiment
 from repro.experiments.nfs_storage import nfs_scenario
 
 CONFIG = NfsExperimentConfig(

@@ -7,7 +7,7 @@ qualitative behaviour.
 
 import pytest
 
-from repro.experiments import RubisExperimentConfig, run_rubis_experiment
+from repro.experiments.rubis_qos import RubisExperimentConfig, run_rubis_experiment
 
 FAST = RubisExperimentConfig(
     duration=8.0, load_at=4.0, rate_per_class=120.0, sessions_per_class=10,

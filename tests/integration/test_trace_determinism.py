@@ -13,7 +13,7 @@ all produced these same hashes.
 
 import pytest
 
-from repro.experiments import run_points
+from repro.experiments.runner import run_points
 from repro.experiments.nfs_storage import (
     NfsExperimentConfig,
     _sweep_point,
