@@ -40,7 +40,7 @@ class ForwardingProxy:
 
     def __init__(self, node, listen_port, backends, route=None,
                  parse_cost=40e-6, reply_cost=25e-6, name="proxy",
-                 mode="worker", backend_conns=1):
+                 mode="worker"):
         if mode not in ("worker", "eventloop"):
             raise ValueError("mode must be 'worker' or 'eventloop'")
         self.node = node
@@ -51,7 +51,6 @@ class ForwardingProxy:
         self.reply_cost = reply_cost
         self.name = name
         self.mode = mode
-        self.backend_conns = backend_conns
         self.task = None
         self.connections = 0
         self.forwarded = 0
@@ -117,16 +116,11 @@ class ForwardingProxy:
         selector = Selector(ctx)
         selector.add_listener(("accept", None), lsock)
 
-        backend_socks = {}
-        rr = {}
+        backend_socks = {}  # one connection per backend
         for key, (node_name, port) in self.backends.items():
-            socks = []
-            for i in range(self.backend_conns):
-                sock = yield from ctx.connect(node_name, port)
-                selector.add_socket(("backend", key, i), sock)
-                socks.append(sock)
-            backend_socks[key] = socks
-            rr[key] = 0
+            sock = yield from ctx.connect(node_name, port)
+            selector.add_socket(("backend", key), sock)
+            backend_socks[key] = sock
 
         clients = {}
         pending = {}  # proxy req id -> client id
@@ -152,9 +146,7 @@ class ForwardingProxy:
                 pending[req_id] = client_id
                 meta = dict(item.meta or {})
                 meta["_proxy_req"] = req_id
-                socks = backend_socks[backend_key]
-                sock = socks[rr[backend_key] % len(socks)]
-                rr[backend_key] += 1
+                sock = backend_socks[backend_key]
                 self.forwarded += 1
                 self.per_backend[backend_key] += 1
                 yield from ctx.send_message(sock, item.size, kind=item.kind, meta=meta)

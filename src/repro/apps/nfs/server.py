@@ -19,10 +19,9 @@ PARSE_COST = 25e-6
 class NfsServer:
     """nfsd on one storage node (requires the node to have a disk)."""
 
-    def __init__(self, node, port=protocol.NFS_PORT, nfsd_per_conn=1, name="nfsd"):
+    def __init__(self, node, port=protocol.NFS_PORT, name="nfsd"):
         self.node = node
         self.port = port
-        self.nfsd_per_conn = nfsd_per_conn
         self.name = name
         self.ops = {op: 0 for op in protocol.ALL_OPS}
         self.bytes_written = 0
@@ -40,11 +39,12 @@ class NfsServer:
         conn_index = 0
         while True:
             sock = yield from ctx.accept(lsock)
-            for i in range(self.nfsd_per_conn):
-                ctx.spawn(
-                    "{}-{}-{}".format(self.name, conn_index, i),
-                    self._nfsd, sock, band=BAND_KERNEL,
-                )
+            # One nfsd thread per connection.  Its name, thread index 0
+            # included, is the server_name of every interaction it serves.
+            ctx.spawn(
+                "{}-{}-0".format(self.name, conn_index),
+                self._nfsd, sock, band=BAND_KERNEL,
+            )
             conn_index += 1
 
     def _nfsd(self, ctx, sock):

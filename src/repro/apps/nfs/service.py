@@ -19,8 +19,8 @@ class VirtualStorageService:
     """
 
     def __init__(self, cluster, proxy_node, backend_nodes,
-                 port=protocol.NFS_PORT, nfsd_per_conn=1, backend_conns=1,
-                 proxy_parse_cost=40e-6, proxy_reply_cost=25e-6):
+                 port=protocol.NFS_PORT, proxy_parse_cost=40e-6,
+                 proxy_reply_cost=25e-6):
         self.cluster = cluster
         self.proxy_node_name = proxy_node
         self.backend_node_names = list(backend_nodes)
@@ -31,8 +31,7 @@ class VirtualStorageService:
             if node.kernel.vfs is None:
                 raise ValueError("backend node {} needs with_disk=True".format(name))
             self.servers[name] = NfsServer(
-                node, port=port, nfsd_per_conn=nfsd_per_conn,
-                name="nfsd-{}".format(name),
+                node, port=port, name="nfsd-{}".format(name)
             )
         self.proxy = ForwardingProxy(
             cluster.node(proxy_node),
@@ -41,7 +40,6 @@ class VirtualStorageService:
             parse_cost=proxy_parse_cost,
             reply_cost=proxy_reply_cost,
             name="nfs-proxy",
-            backend_conns=backend_conns,
         )
 
     def start(self):

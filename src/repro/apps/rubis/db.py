@@ -9,13 +9,16 @@ QUERY_PARSE_COST = 60e-6
 class DbServer:
     """Accepts connections from servlets; one handler task per connection."""
 
-    def __init__(self, node, port=DB_PORT, name="mysqld", working_set_bytes=4 << 20):
+    #: The acceptor task's name; handlers are ``mysqld-h<index>``.
+    name = "mysqld"
+    #: Size of the tables file, warmed into the page cache at start.
+    working_set_bytes = 4 << 20
+
+    def __init__(self, node, port=DB_PORT):
         if node.kernel.vfs is None:
             raise ValueError("DB node {} needs with_disk=True".format(node.name))
         self.node = node
         self.port = port
-        self.name = name
-        self.working_set_bytes = working_set_bytes
         self.queries = 0
         self.reads = 0
         self.writes = 0

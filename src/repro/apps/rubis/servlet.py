@@ -16,11 +16,11 @@ class ServletServer:
     (comments return large pages — "significant network traffic").
     """
 
-    def __init__(self, node, db_node, port=SERVLET_PORT, name=None):
+    def __init__(self, node, db_node, port=SERVLET_PORT):
         self.node = node
         self.db_node = db_node
         self.port = port
-        self.name = name or "servlet-{}".format(node.name)
+        self.name = "servlet-{}".format(node.name)
         self.requests = 0
         self.by_class = {}
         self.task = None

@@ -51,35 +51,30 @@ class RubisSite:
 
     # ------------------------------------------------------------------
 
-    def inject_cpu_load(self, servlet_node, start, duration, duty=0.75,
-                        chunk=5e-3, band=None):
+    def inject_cpu_load(self, servlet_node, start, duration, duty=0.75):
         """Schedule a CPU hog on one servlet node (the mid-run perturbation).
 
-        The hog alternates ``chunk`` seconds of CPU with idle time to hold
-        average utilization at ``duty``.  It runs in the kernel band by
-        default — higher-priority background load that genuinely steals
-        capacity from the servlet's user-level handlers (a user-band hog
-        would simply be round-robin fair-shared away).
+        The hog alternates 5 ms of CPU with idle time to hold average
+        utilization at ``duty``.  It runs in the kernel band —
+        higher-priority background load that genuinely steals capacity
+        from the servlet's user-level handlers (a user-band hog would
+        simply be round-robin fair-shared away).
         """
         from repro.ossim.task import BAND_KERNEL
 
         node = self.cluster.node(servlet_node)
-        band = BAND_KERNEL if band is None else band
-        mode = "kernel" if band == BAND_KERNEL else "user"
+        chunk = 5e-3
 
         def hog(ctx):
             yield from ctx.sleep(max(0.0, start - ctx.now))
             end = ctx.now + duration
             idle = chunk * (1.0 - duty) / duty
             while ctx.now < end:
-                if mode == "kernel":
-                    yield from ctx.kcompute(chunk)
-                else:
-                    yield from ctx.compute(chunk)
+                yield from ctx.kcompute(chunk)
                 yield from ctx.sleep(idle)
             return "hog-done"
 
-        task = node.spawn("batch-load", hog, band=band)
+        task = node.spawn("batch-load", hog, band=BAND_KERNEL)
         self._load_tasks.append(task)
         return task
 

@@ -41,9 +41,14 @@ class RoundRobinRouter:
 class RequestDispatcher:
     """DWCS-scheduled dispatcher with per-servlet connection slots."""
 
+    #: The dispatch task's name.
+    name = "dwcs-dispatcher"
+    #: Seconds between sheddings of late requests while the chosen
+    #: servlet has no free slot.
+    shed_poll = 20e-3
+
     def __init__(self, node, frontend, frontend_port, servlet_names, scheduler,
-                 router=None, slots_per_servlet=12, name="dwcs-dispatcher",
-                 shed_poll=20e-3):
+                 router=None, slots_per_servlet=12):
         self.node = node
         self.frontend = frontend
         self.frontend_port = frontend_port
@@ -51,8 +56,6 @@ class RequestDispatcher:
         self.scheduler = scheduler
         self.router = router or RoundRobinRouter(self.servlet_names)
         self.slots_per_servlet = slots_per_servlet
-        self.name = name
-        self.shed_poll = shed_poll
         self.completions = []
         self.drops = []
         self.dispatched = 0

@@ -41,14 +41,16 @@ class ResourceAwareRouter:
     lighter server sits idle.
     """
 
-    def __init__(self, servlet_names, load_monitor, utilization_weight=1.0,
-                 runq_weight=0.02, pending_weight=0.01, slot_penalty=10.0):
+    #: Score weights: CPU utilization, run-queue length, pending
+    #: interactions, and the penalty for a servlet with no free slot.
+    utilization_weight = 1.0
+    runq_weight = 0.02
+    pending_weight = 0.01
+    slot_penalty = 10.0
+
+    def __init__(self, servlet_names, load_monitor):
         self.servlet_names = list(servlet_names)
         self.load_monitor = load_monitor
-        self.utilization_weight = utilization_weight
-        self.runq_weight = runq_weight
-        self.pending_weight = pending_weight
-        self.slot_penalty = slot_penalty
         self._rr = 0
         self.decisions = {name: 0 for name in self.servlet_names}
 

@@ -61,15 +61,14 @@ class Cluster:
     >>> b = cluster.add_node("beta", with_disk=True)
     """
 
-    def __init__(self, sim=None, seed=7, bandwidth_bps=1_000_000_000,
-                 latency=50e-6, costs=None, loss_rate=0.0):
-        self.sim = sim or Simulator()
+    def __init__(self, seed=7, bandwidth_bps=1_000_000_000, costs=None,
+                 loss_rate=0.0):
+        self.sim = Simulator()
         self.streams = RandomStreams(seed)
         self.costs = costs or DEFAULT_COSTS
         self.fabric = Fabric(
             self.sim,
             bandwidth_bps=bandwidth_bps,
-            latency=latency,
             loss_rate=loss_rate,
             rng=self.streams.stream("fabric.loss") if loss_rate else None,
         )

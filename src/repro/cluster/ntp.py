@@ -72,7 +72,7 @@ class NtpSync:
                 meta={"t1": receive_ts, "t2": transmit_ts},
             )
 
-    def measure(self, clock_table, on_done=None):
+    def measure(self, clock_table):
         """Spawn the measurement task on the reference node.
 
         Offsets land in ``clock_table`` as exchanges complete; run the
@@ -80,11 +80,9 @@ class NtpSync:
         """
         reference = self.cluster.node(self.reference_name)
         targets = [n for n in self.cluster.nodes if n != self.reference_name]
-        return reference.spawn(
-            "ntp-sync", self._client, targets, clock_table, on_done
-        )
+        return reference.spawn("ntp-sync", self._client, targets, clock_table)
 
-    def _client(self, ctx, targets, clock_table, on_done):
+    def _client(self, ctx, targets, clock_table):
         clock = ctx.kernel.clock
         for target in targets:
             sock = yield from ctx.connect(target, NTP_PORT)
@@ -106,8 +104,6 @@ class NtpSync:
             else:
                 estimate = 0.5 * (thetas[mid - 1] + thetas[mid])
             clock_table.set_offset(target, estimate)
-        if on_done is not None:
-            on_done(clock_table)
         return clock_table
 
 

@@ -55,16 +55,10 @@ class RackTopology:
 class RackBuilder:
     """Stamps one rack: leaf switch + M nodes (+ optional rack GPA node)."""
 
-    def __init__(self, cluster, name, leaf_latency=None, trunk_latency=None,
-                 leaf_bandwidth_bps=None):
+    def __init__(self, cluster, name):
         self.cluster = cluster
         self.name = name
-        self.switch = cluster.fabric.add_switch(
-            "{}-leaf".format(name),
-            bandwidth_bps=leaf_bandwidth_bps,
-            latency=leaf_latency,
-            trunk_latency=trunk_latency,
-        )
+        self.switch = cluster.fabric.add_switch("{}-leaf".format(name))
 
     def build(self, node_count, with_gpa=True, node_prefix=None, **node_kwargs):
         """Create ``node_count`` nodes behind this rack's leaf switch.
@@ -84,8 +78,7 @@ class RackBuilder:
 
 
 def build_spine_leaf(cluster, racks, nodes_per_rack, with_rack_gpa=True,
-                     mgmt_node="mgmt", leaf_latency=None, trunk_latency=None,
-                     **node_kwargs):
+                     mgmt_node="mgmt", **node_kwargs):
     """Build an N-rack × M-node spine/leaf cluster on ``cluster``.
 
     The fabric's root switch is the spine; each rack hangs a leaf switch
@@ -94,10 +87,7 @@ def build_spine_leaf(cluster, racks, nodes_per_rack, with_rack_gpa=True,
     """
     specs = []
     for r in range(racks):
-        builder = RackBuilder(
-            cluster, "r{}".format(r),
-            leaf_latency=leaf_latency, trunk_latency=trunk_latency,
-        )
+        builder = RackBuilder(cluster, "r{}".format(r))
         specs.append(builder.build(nodes_per_rack, with_gpa=with_rack_gpa,
                                    **node_kwargs))
     mgmt = ""

@@ -122,7 +122,7 @@ class ArmTracker:
         self.interactions_emitted += 1
         self.emit(record)
 
-    def flush(self, flow_key=None):
+    def flush(self):
         stale = list(self.open)
         for key in stale:
             entry = self.open[key]

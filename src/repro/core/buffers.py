@@ -116,8 +116,8 @@ class SingleBuffer(DoubleBuffer):
     writing into the same buffer while the daemon drains, so any record
     arriving mid-drain window is lost."""
 
-    def __init__(self, kernel, capacity, on_full=None, name="lpa-sbuf"):
-        super().__init__(kernel, capacity, on_full=on_full, name=name)
+    def __init__(self, kernel, capacity, on_full=None):
+        super().__init__(kernel, capacity, on_full=on_full, name="lpa-sbuf")
 
     def switch(self, force=False):
         active = self._active

@@ -13,11 +13,6 @@ from repro.core.cpa import CustomAnalyzer
 from repro.core.lpa import GRANULARITIES
 
 
-def classify_by_kind(record):
-    """Default classifier: the request's message kind."""
-    return record.request_class or "default"
-
-
 def classify_by_client(record):
     """Group interactions per client IP (per-customer accounting —
     "information about total resources used in processing requests is
@@ -73,7 +68,8 @@ class Controller:
 
         ``classify(record) -> str`` over
         :class:`~repro.core.interactions.InteractionRecord`; see
-        :func:`classify_by_client` and :func:`classify_by_kind` for
+        :func:`classify_by_client` and
+        :func:`~repro.core.lpa.classify_by_kind` (the default) for
         ready-made classifiers ("collect statistics for some client
         class rather than for individual interactions").
         """
@@ -87,7 +83,7 @@ class Controller:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         for monitor in self._monitors(node):
-            for lpa in monitor.all_lpas():
+            for lpa in monitor.daemon.lpas:
                 lpa.buffer.capacity = capacity
 
     def set_window_size(self, size, node=None):
@@ -190,15 +186,21 @@ class Controller:
     # custom analyzers
     # ------------------------------------------------------------------
 
-    def install_cpa(self, node, source, etypes, name, predicate=None, cost=None,
-                    buffer_capacity=64):
-        """Compile E-Code ``source`` and load it as a CPA on ``node``."""
+    def install_cpa(self, node, source, etypes, name, predicate=None, cost=None):
+        """Compile E-Code ``source`` and load it as a CPA on ``node``.
+
+        ``name`` must be new on the node: it names the analyzer's
+        ``/proc/sysprof`` entry and its ``sysprof.lpa.<node>.<name>``
+        metrics.
+        """
         monitor = self.toolkit.monitors[node]
-        if name in monitor.cpas:
-            raise ValueError("CPA {!r} already installed on {}".format(name, node))
+        if any(lpa.name == name for lpa in monitor.daemon.lpas):
+            raise ValueError(
+                "analyzer {!r} already installed on {}".format(name, node)
+            )
         cpa = CustomAnalyzer(
             monitor.kernel, monitor.kprof, source, etypes, name=name,
-            predicate=predicate, cost=cost, buffer_capacity=buffer_capacity,
+            predicate=predicate, cost=cost,
         )
         monitor.daemon.add_lpa(cpa)
         monitor.cpas[name] = cpa
@@ -206,9 +208,11 @@ class Controller:
         return cpa
 
     def uninstall_cpa(self, node, name):
+        """Unload a CPA: no more events, evictions, records or procfs entry."""
         monitor = self.toolkit.monitors[node]
         cpa = monitor.cpas.pop(name)
         cpa.stop()
+        monitor.daemon.remove_lpa(cpa)
         return cpa
 
     # ------------------------------------------------------------------
@@ -220,6 +224,6 @@ class Controller:
             report[node] = {
                 "kprof": monitor.kprof.stats(),
                 "daemon": monitor.daemon.stats(),
-                "lpas": {lpa.name: lpa.stats() for lpa in monitor.all_lpas()},
+                "lpas": {lpa.name: lpa.stats() for lpa in monitor.daemon.lpas},
             }
         return report

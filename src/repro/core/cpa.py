@@ -34,14 +34,10 @@ class CustomAnalyzer(LocalPerformanceAnalyzer):
     record_format = CPA_FORMAT
 
     def __init__(self, kernel, kprof, source, etypes, name="cpa",
-                 buffer_capacity=64, predicate=None, cost=None,
-                 on_buffer_full=None, step_budget=100000):
-        super().__init__(
-            kernel, kprof, name,
-            buffer_capacity=buffer_capacity, on_buffer_full=on_buffer_full,
-        )
+                 predicate=None, cost=None):
+        super().__init__(kernel, kprof, name, buffer_capacity=64)
         self.program = ECodeProgram.compile(source)
-        self.instance = self.program.instantiate(step_budget=step_budget)
+        self.instance = self.program.instantiate()
         if not self.instance.has_function("handle"):
             raise ECodeError("CPA program must define handle(event e)")
         self.etypes = list(etypes)

@@ -30,17 +30,25 @@ from repro.sim.resources import Store
 
 
 class DisseminationDaemon:
-    """Collects analyzer buffers, encodes records, publishes to channels."""
+    """Collects analyzer buffers, encodes records, publishes to channels.
 
-    def __init__(self, node, hub, registry=None, eviction_interval=0.25,
-                 name="sysprofd", channel_prefix="sysprof/", data_filter=None,
-                 text_encoding=False, affinity=None):
+    :attr:`lpas` is the node's one analyzer list, in attach order:
+    eviction, publication, the toolkit's start/stop/flush, the
+    controller and the metrics registry all read it.
+    """
+
+    #: The daemon task's name.
+    name = "sysprofd"
+
+    def __init__(self, node, hub, eviction_interval=0.25,
+                 channel_prefix="sysprof/", text_encoding=False,
+                 affinity=None):
         self.node = node
         self.hub = hub
-        self.registry = registry or encoding.FormatRegistry()
+        self.registry = encoding.FormatRegistry()
         self.eviction_interval = eviction_interval
-        self.name = name
-        self.data_filter = data_filter  # optional record-level filter fn
+        # Optional record-level filter: data_filter(lpa_name, record) -> keep?
+        self.data_filter = None
         self.text_encoding = text_encoding  # ablation: ship repr() text
         self.affinity = affinity  # pin to a dedicated analysis core (SMP)
         self.lpas = []
@@ -72,6 +80,16 @@ class DisseminationDaemon:
         self.node.kernel.procfs.register(
             "/proc/sysprof/{}".format(lpa.name), lambda lpa=lpa: _render_lpa(lpa)
         )
+        return lpa
+
+    def remove_lpa(self, lpa):
+        """Detach an analyzer: it is no longer evicted or published, and
+        its ``/proc/sysprof`` entry goes.  Records still in its buffers
+        are dropped with it."""
+        self.lpas.remove(lpa)
+        del self._by_buffer[id(lpa.buffer)]
+        lpa.buffer.on_full = None
+        self.node.kernel.procfs.unregister("/proc/sysprof/{}".format(lpa.name))
         return lpa
 
     def _on_buffer_full(self, buffer, index):
@@ -119,22 +137,6 @@ class DisseminationDaemon:
     def restart(self):
         """Respawn the daemon task after :meth:`kill`."""
         return self.start()
-
-    def reset_endpoint(self, endpoint):
-        """Forget a subscriber's socket (peer restart / connection loss).
-
-        The next publish reconnects; the socket-identity check in the
-        publisher then re-sends every format descriptor on the fresh
-        connection.  The per-endpoint format set is purged here too —
-        before, the stale ``(dead socket, formats)`` tuple lingered in
-        ``_formats_sent`` forever, growing by one entry per subscriber
-        restart.
-        """
-        self.publisher.reset_endpoint(endpoint)
-
-    def revive_endpoint(self, endpoint):
-        """Clear an endpoint's backoff/abandoned state (subscriber is back)."""
-        self.publisher.revive_endpoint(endpoint)
 
     # ------------------------------------------------------------------
 

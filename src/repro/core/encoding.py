@@ -212,9 +212,9 @@ class RecordView:
 
     __slots__ = ("_fmt", "_row")
 
-    def __init__(self, fmt, row=None):
+    def __init__(self, fmt):
         self._fmt = fmt
-        self._row = row
+        self._row = None
 
     def bind(self, row):
         self._row = row

@@ -95,11 +95,13 @@ class ParentLink:
     #: Any tier channel works for probing — all of a tier's channels
     #: share one (node, port) endpoint.
     PROBE_FORMAT = "sysprof.nodestats"
+    #: A probe delay is stretched by up to this fraction, seeded per link.
+    probe_jitter = 0.5
 
     def __init__(self, name, publisher, hub, primary_prefix,
                  standby_prefix=None, standby_zone=None,
                  root_prefix=ROOT_PREFIX, loss_failures=3, lease_timeout=1.0,
-                 probe_base=0.5, probe_cap=4.0, probe_jitter=0.5,
+                 probe_base=0.5, probe_cap=4.0,
                  on_reparent=None, on_return=None):
         self.name = name
         self.publisher = publisher
@@ -109,7 +111,6 @@ class ParentLink:
         self.lease_timeout = float(lease_timeout)
         self.probe_base = probe_base
         self.probe_cap = probe_cap
-        self.probe_jitter = probe_jitter
         self.on_reparent = on_reparent  # fn(zone_name_or_None) on target switch
         self.on_return = on_return      # fn() when back on the primary
         # Fallback ladder: (prefix, zone name or None for the root).
@@ -237,8 +238,7 @@ class ParentLink:
             self.probe_cap,
             self.probe_base * (2.0 ** min(self._probe_round, 8)),
         )
-        if self.probe_jitter:
-            delay *= 1.0 + self.probe_jitter * self._jitter_rng().random()
+        delay *= 1.0 + self.probe_jitter * self._jitter_rng().random()
         self._next_probe_at = now + delay
 
     def _jitter_rng(self):

@@ -213,11 +213,13 @@ class InteractionTracker:
     ``emit`` is called with each completed :class:`InteractionRecord`.
     """
 
-    def __init__(self, node_name, local_ip, emit, idle_timeout=1.0):
+    #: Seconds without activity after which :meth:`expire_idle` drops a flow.
+    idle_timeout = 1.0
+
+    def __init__(self, node_name, local_ip, emit):
         self.node_name = node_name
         self.local_ip = local_ip
         self.emit = emit
-        self.idle_timeout = idle_timeout
         self.flows = {}
         self.interactions_emitted = 0
         self.messages_closed = 0

@@ -46,9 +46,9 @@ class Subscription:
 class Kprof(Tracepoints):
     """Per-node monitoring hub; install with :meth:`attach`."""
 
-    def __init__(self, kernel, monitor_costs=None):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.costs = monitor_costs or kernel.costs
+        self.costs = kernel.costs
         self._subs = {}  # etype -> [Subscription]
         # Copy-on-write view of _subs: etype -> tuple(Subscription), only
         # for un-masked types.  emit() iterates these immutable snapshots,

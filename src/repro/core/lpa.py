@@ -125,18 +125,21 @@ SKETCH_FORMAT = (
 )
 
 
+def classify_by_kind(record):
+    """Default classifier: the request's message kind."""
+    return record.request_class or "default"
+
+
 class LocalPerformanceAnalyzer:
     """Base class: subscription lifecycle + buffered record emission."""
 
     record_format = INTERACTION_FORMAT
 
-    def __init__(self, kernel, kprof, name, buffer_capacity=256, on_buffer_full=None):
+    def __init__(self, kernel, kprof, name, buffer_capacity=256):
         self.kernel = kernel
         self.kprof = kprof
         self.name = name
-        self.buffer = DoubleBuffer(
-            kernel, buffer_capacity, on_full=on_buffer_full, name=name
-        )
+        self.buffer = DoubleBuffer(kernel, buffer_capacity, name=name)
         self._subscriptions = []
         self.started = False
 
@@ -179,7 +182,9 @@ class InteractionLPA(LocalPerformanceAnalyzer):
     "statistics for some client class rather than individual
     interactions" mode).  ``classify`` maps an
     :class:`~repro.core.interactions.InteractionRecord` to a class name;
-    the default uses the request's message kind.
+    the default uses the request's message kind, and the controller's
+    ``set_classifier`` replaces it.  ``window`` keeps the last 128
+    interactions (``set_window_size`` resizes it).
     """
 
     def __init__(
@@ -188,22 +193,15 @@ class InteractionLPA(LocalPerformanceAnalyzer):
         kprof,
         name="interaction-lpa",
         buffer_capacity=256,
-        window_size=128,
         predicate=None,
-        classify=None,
         granularity="interaction",
-        on_buffer_full=None,
-        idle_timeout=1.0,
         arm=False,
     ):
-        super().__init__(
-            kernel, kprof, name,
-            buffer_capacity=buffer_capacity, on_buffer_full=on_buffer_full,
-        )
+        super().__init__(kernel, kprof, name, buffer_capacity=buffer_capacity)
         self.predicate = predicate
-        self.classify = classify or (lambda record: record.request_class or "default")
+        self.classify = classify_by_kind
         self.granularity = granularity
-        self.window = deque(maxlen=window_size)
+        self.window = deque(maxlen=128)
         self.arm = arm
         if arm:
             # ARM-token pairing with a direction-flip fallback for
@@ -213,16 +211,14 @@ class InteractionLPA(LocalPerformanceAnalyzer):
 
             fallback = InteractionTracker(
                 kernel.name, self._local_ip(), self._on_interaction,
-                idle_timeout=idle_timeout,
             )
             self.tracker = ArmTracker(
                 kernel.name, self._local_ip(), self._on_interaction,
-                idle_timeout=idle_timeout, fallback=fallback,
+                fallback=fallback,
             )
         else:
             self.tracker = InteractionTracker(
                 kernel.name, self._local_ip(), self._on_interaction,
-                idle_timeout=idle_timeout,
             )
         self._class_stats = {}
         self._class_window_start = kernel.sim.now
@@ -459,16 +455,9 @@ class SketchLPA(LocalPerformanceAnalyzer):
 
     record_format = SKETCH_FORMAT
 
-    def __init__(self, kernel, kprof, source, name="sketch-lpa",
-                 buffer_capacity=64, alpha=0.01, max_buckets=256,
-                 on_buffer_full=None):
-        super().__init__(
-            kernel, kprof, name,
-            buffer_capacity=buffer_capacity, on_buffer_full=on_buffer_full,
-        )
+    def __init__(self, kernel, kprof, source):
+        super().__init__(kernel, kprof, "sketch-lpa", buffer_capacity=64)
         self.source = source
-        self.alpha = alpha
-        self.max_buckets = max_buckets
         self._sketches = {}  # (request_class, metric) -> QuantileSketch
         self._window_start = kernel.clock.local_time(kernel.sim.now)
         self.updates = 0
@@ -493,9 +482,7 @@ class SketchLPA(LocalPerformanceAnalyzer):
         key = (request_class, metric)
         sketch = self._sketches.get(key)
         if sketch is None:
-            sketch = self._sketches[key] = QuantileSketch(
-                alpha=self.alpha, max_buckets=self.max_buckets
-            )
+            sketch = self._sketches[key] = QuantileSketch()
         sketch.add(value)
         self.updates += 1
 
@@ -538,12 +525,8 @@ class NodeStatsLPA(LocalPerformanceAnalyzer):
 
     record_format = NODE_STATS_FORMAT
 
-    def __init__(self, kernel, kprof, name="nodestats-lpa", buffer_capacity=64,
-                 on_buffer_full=None, pending_probe=None):
-        super().__init__(
-            kernel, kprof, name,
-            buffer_capacity=buffer_capacity, on_buffer_full=on_buffer_full,
-        )
+    def __init__(self, kernel, kprof, pending_probe=None):
+        super().__init__(kernel, kprof, "nodestats-lpa", buffer_capacity=64)
         self.pending_probe = pending_probe
         self._last_ctx = 0
 
@@ -601,25 +584,16 @@ class SyscallLPA(LocalPerformanceAnalyzer):
 
     record_format = SYSCALL_STATS_FORMAT
 
-    def __init__(self, kernel, kprof, name="syscall-lpa", buffer_capacity=64,
-                 predicate=None, on_buffer_full=None):
-        super().__init__(
-            kernel, kprof, name,
-            buffer_capacity=buffer_capacity, on_buffer_full=on_buffer_full,
-        )
-        self.predicate = predicate
+    def __init__(self, kernel, kprof):
+        super().__init__(kernel, kprof, "syscall-lpa", buffer_capacity=64)
         self._open_calls = {}  # pid -> (call name, entry ts)
         self._stats = {}  # call name -> RunningStat
         self._window_start = kernel.sim.now
         self.unmatched_exits = 0
 
     def _subscribe(self):
-        self._add_subscription(
-            [tp.SYSCALL_ENTRY], self._on_entry, predicate=self.predicate
-        )
-        self._add_subscription(
-            [tp.SYSCALL_EXIT], self._on_exit, predicate=self.predicate
-        )
+        self._add_subscription([tp.SYSCALL_ENTRY], self._on_entry)
+        self._add_subscription([tp.SYSCALL_EXIT], self._on_exit)
 
     def _on_entry(self, event):
         self._open_calls[event["pid"]] = (event.get("call", "?"), event.ts)

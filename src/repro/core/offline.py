@@ -22,21 +22,18 @@ from repro.ossim import tracepoints as tp
 class EventLog:
     """Records raw monitoring events from one node's Kprof."""
 
-    def __init__(self, kprof, etypes=None, capacity=100000, cost=0.05e-6,
-                 predicate=None):
+    def __init__(self, kprof, etypes=None, capacity=100000, cost=0.05e-6):
         self.kprof = kprof
         self.etypes = list(etypes) if etypes is not None else list(ALL_EVENT_TYPES)
         self.events = deque(maxlen=capacity)
         self.cost = cost
-        self.predicate = predicate
         self.recorded = 0
         self._subscription = None
 
     def start(self):
         if self._subscription is None:
             self._subscription = self.kprof.subscribe(
-                self.etypes, self._record, predicate=self.predicate,
-                cost=self.cost, name="event-log",
+                self.etypes, self._record, cost=self.cost, name="event-log",
             )
         return self
 
@@ -85,7 +82,7 @@ class EventLog:
         return events
 
 
-def replay_interactions(events, node_name, local_ip, idle_timeout=1.0):
+def replay_interactions(events, node_name, local_ip):
     """Re-run the interaction extraction over a recorded event stream.
 
     Returns the list of :class:`~repro.core.interactions.InteractionRecord`
@@ -94,9 +91,7 @@ def replay_interactions(events, node_name, local_ip, idle_timeout=1.0):
     reconstructed exactly).
     """
     emitted = []
-    tracker = InteractionTracker(
-        node_name, local_ip, emitted.append, idle_timeout=idle_timeout
-    )
+    tracker = InteractionTracker(node_name, local_ip, emitted.append)
     for event in sorted(events, key=lambda e: e.ts):
         fields = event.fields
         if event.etype == tp.NET_RX_DRIVER:

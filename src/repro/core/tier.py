@@ -62,6 +62,9 @@ _NODE, _START_TS, _END_TS, _REQUEST_CLASS, _CLIENT_IP, _SERVER_IP, _START_REF = 
     INTERACTION_KEYS.index,
     ("node", "start_ts", "end_ts", "request_class", "client_ip", "server_ip", "start_ref"),
 )
+#: Seconds of clock-correction error :meth:`AnalyzerTier.correlate_paths`
+#: tolerates at a path's boundaries.
+PATH_SLACK = 2e-3
 #: :meth:`AnalyzerTier.node_summary`'s means: ``(key, field)`` pairs.
 _NODE_SUMMARY_MEANS = (
     ("mean_total", "total_latency"),
@@ -145,7 +148,7 @@ class AnalyzerTier:
         self.syscall_summaries = deque(maxlen=self.history)
         self.node_stats = {}  # node -> deque of samples
         # Windowed quantile sketches merged from sysprof.sketch rows.
-        self.sketches = SketchStore(clock_table=clock_table)
+        self.sketches = SketchStore()
         # Optional DiagnosisEngine; the engine sets this on every tier it
         # watches, and ingest() then offers every batch to it.
         self.diagnosis = None
@@ -205,10 +208,12 @@ class AnalyzerTier:
             self.syscall_summaries.extend(records)
         elif format_name == "sysprof.sketch":
             store = self.sketches.ingest
+            to_reference = self.to_reference
             stored = []
             for record in records:
                 try:
-                    stored.append((record, store(record)))
+                    end = to_reference(record["node"], record["window_end"])
+                    stored.append((record, store(record, end)))
                 except ValueError:
                     self.decode_errors += 1
         if self.diagnosis is not None:
@@ -318,13 +323,14 @@ class AnalyzerTier:
                 suspects[node] = age
         return suspects
 
-    def correlate_paths(self, upstream_node, downstream_nodes, slack=2e-3):
+    def correlate_paths(self, upstream_node, downstream_nodes):
         """Build causal paths: downstream interactions nested (in corrected
         time) inside each upstream interaction.
 
         The upstream node is the one facing the original client (the NFS
-        proxy, the web front-end); downstream nodes serve it.  ``slack``
-        tolerates clock-correction error at the containment boundaries.
+        proxy, the web front-end); downstream nodes serve it.
+        :data:`PATH_SLACK` tolerates clock-correction error at the
+        containment boundaries.
         """
         downstream_set = set(downstream_nodes)
         downstream = [
@@ -340,12 +346,12 @@ class AnalyzerTier:
             if row[_NODE] != upstream_node:
                 continue
             upstream = dict(zip(INTERACTION_KEYS, row))
-            lo = bisect.bisect_left(starts, upstream["start_ref"] - slack)
+            lo = bisect.bisect_left(starts, upstream["start_ref"] - PATH_SLACK)
             nested = []
             for record in downstream[lo:]:
-                if record["start_ref"] > upstream["end_ref"] + slack:
+                if record["start_ref"] > upstream["end_ref"] + PATH_SLACK:
                     break
-                if record["end_ref"] <= upstream["end_ref"] + slack:
+                if record["end_ref"] <= upstream["end_ref"] + PATH_SLACK:
                     nested.append(record)
             paths.append(CausalPath(upstream, nested))
         return paths

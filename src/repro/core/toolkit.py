@@ -84,32 +84,22 @@ class SysProfConfig:
 
 
 class NodeMonitor:
-    """Everything SysProf runs on one monitored node."""
+    """Everything SysProf runs on one monitored node.
 
-    def __init__(self, node, kprof, interaction_lpa, nodestats_lpa, daemon,
-                 syscall_lpa=None, sketch_lpa=None):
+    The node's analyzer list, CPAs and synthetic LPAs included, is
+    ``daemon.lpas``; ``interaction_lpa`` (the controller's levers) and
+    ``syscall_lpa`` (a live per-call table, or ``None``) are handles
+    into it.
+    """
+
+    def __init__(self, node, kprof, interaction_lpa, daemon, syscall_lpa=None):
         self.node = node
         self.kernel = node.kernel
         self.kprof = kprof
         self.interaction_lpa = interaction_lpa
-        self.nodestats_lpa = nodestats_lpa
         self.syscall_lpa = syscall_lpa
-        self.sketch_lpa = sketch_lpa
         self.daemon = daemon
         self.cpas = {}
-
-    def all_lpas(self):
-        lpas = []
-        if self.interaction_lpa is not None:
-            lpas.append(self.interaction_lpa)
-        if self.nodestats_lpa is not None:
-            lpas.append(self.nodestats_lpa)
-        if self.syscall_lpa is not None:
-            lpas.append(self.syscall_lpa)
-        if self.sketch_lpa is not None:
-            lpas.append(self.sketch_lpa)
-        lpas.extend(self.cpas.values())
-        return lpas
 
 
 class SysProf:
@@ -267,26 +257,21 @@ class SysProf:
                 publish_interval=config.eviction_interval,
             )
         daemon.add_lpa(interaction_lpa)
-        nodestats_lpa = None
         if config.nodestats:
             tracker = interaction_lpa.tracker
-            nodestats_lpa = NodeStatsLPA(
+            daemon.add_lpa(NodeStatsLPA(
                 node.kernel, kprof,
                 pending_probe=lambda tracker=tracker: pending_interactions(tracker),
-            )
-            daemon.add_lpa(nodestats_lpa)
+            ))
         syscall_lpa = None
         if config.syscall_stats:
-            syscall_lpa = SyscallLPA(node.kernel, kprof)
-            daemon.add_lpa(syscall_lpa)
-        sketch_lpa = None
+            syscall_lpa = daemon.add_lpa(SyscallLPA(node.kernel, kprof))
         if config.latency_sketches:
-            sketch_lpa = SketchLPA(node.kernel, kprof, interaction_lpa)
-            interaction_lpa.sketches = sketch_lpa
-            daemon.add_lpa(sketch_lpa)
+            interaction_lpa.sketches = daemon.add_lpa(
+                SketchLPA(node.kernel, kprof, interaction_lpa)
+            )
         self.monitors[node.name] = NodeMonitor(
-            node, kprof, interaction_lpa, nodestats_lpa, daemon,
-            syscall_lpa=syscall_lpa, sketch_lpa=sketch_lpa,
+            node, kprof, interaction_lpa, daemon, syscall_lpa=syscall_lpa
         )
 
     # ------------------------------------------------------------------
@@ -302,7 +287,7 @@ class SysProf:
         stagger = self.config.eviction_stagger
         interval = self.config.eviction_interval
         for index, monitor in enumerate(self.monitors.values()):
-            for lpa in monitor.all_lpas():
+            for lpa in monitor.daemon.lpas:
                 lpa.start()
             offset = (index * stagger) % interval if stagger > 0.0 else 0.0
             if offset > 0.0:
@@ -318,7 +303,7 @@ class SysProf:
     def stop(self):
         """Unsubscribe everything; kernels revert to negligible-cost probes."""
         for monitor in self.monitors.values():
-            for lpa in monitor.all_lpas():
+            for lpa in monitor.daemon.lpas:
                 lpa.stop()
             monitor.daemon.stop()
         if self.federation is not None:
@@ -360,7 +345,7 @@ class SysProf:
         for monitor in self.monitors.values():
             if monitor.interaction_lpa is not None:
                 monitor.interaction_lpa.flush_tracker()
-            for lpa in monitor.all_lpas():
+            for lpa in monitor.daemon.lpas:
                 lpa.evict()
         self.cluster.sim.run(until=self.cluster.sim.now + settle)
 

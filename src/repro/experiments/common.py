@@ -1,6 +1,5 @@
 """Shared experiment plumbing."""
 
-import hashlib
 import json
 import os
 import pathlib
@@ -25,6 +24,10 @@ def trace_digest(records):
     the trace's minimum id before hashing — the same normalization the
     determinism tests have always applied.
     """
+    # hashlib loads OpenSSL; imported here so a process that never
+    # hashes a trace (every CLI start-up, ``repro serve``) does not.
+    import hashlib
+
     records = list(records)
     ids = [
         record["interaction_id"]

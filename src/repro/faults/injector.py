@@ -30,10 +30,12 @@ _HOG_BURST = 0.005
 class FaultInjector:
     """Schedules and fires faults; one per run."""
 
-    def __init__(self, cluster, sysprof=None, rng_name="faults.jitter"):
+    #: The named random substream fault-time jitter draws from.
+    rng_name = "faults.jitter"
+
+    def __init__(self, cluster, sysprof=None):
         self.cluster = cluster
         self.sysprof = sysprof
-        self.rng_name = rng_name
         self.log = []  # [{"at": fired_time, "kind": ..., "target": ...}]
         self.fired = 0
         self.hogs_spawned = 0

@@ -18,17 +18,19 @@ class Fabric:
     measurements.
     """
 
+    #: The LAN's name; its root switch is ``lan0-sw``.
+    name = "lan0"
+
     def __init__(self, sim, bandwidth_bps=1_000_000_000, latency=50e-6,
-                 loss_rate=0.0, rng=None, name="lan0"):
+                 loss_rate=0.0, rng=None):
         self.sim = sim
-        self.name = name
         self.bandwidth_bps = bandwidth_bps
         self.latency = latency
         self.loss_rate = loss_rate
         self._rng = rng
         self.switch = Switch(
             sim, bandwidth_bps, latency, loss_rate=loss_rate, rng=rng,
-            name="{}-sw".format(name),
+            name="{}-sw".format(self.name),
         )
         self.switches = {self.switch.name: self.switch}
         self._next_host = 1
@@ -40,37 +42,32 @@ class Fabric:
         self._next_host += 1
         return ip
 
-    def add_switch(self, name, bandwidth_bps=None, latency=None,
-                   forward_delay=None, uplink_to=None, trunk_latency=None):
-        """Create a leaf switch trunked up to ``uplink_to`` (default: root).
+    def add_switch(self, name):
+        """Create a leaf switch trunked up to the root switch, with the
+        fabric's bandwidth and latency on its ports and its trunk.
 
         Returns the new switch; pass it to :meth:`create_nic` via
         ``switch=`` to place NICs behind it.
         """
         if name in self.switches:
             raise ValueError("duplicate switch name: {}".format(name))
-        parent = uplink_to or self.switch
         sw = Switch(
-            self.sim,
-            bandwidth_bps or self.bandwidth_bps,
-            self.latency if latency is None else latency,
-            forward_delay=(self.switch.forward_delay
-                           if forward_delay is None else forward_delay),
+            self.sim, self.bandwidth_bps, self.latency,
+            forward_delay=self.switch.forward_delay,
             loss_rate=self.loss_rate, rng=self._rng, name=name,
         )
-        sw.connect(parent, bandwidth_bps=bandwidth_bps,
-                   latency=trunk_latency, uplink=True)
+        sw.connect(self.switch)
         self.switches[name] = sw
         return sw
 
-    def create_nic(self, ip=None, bandwidth_bps=None, latency=None, switch=None):
+    def create_nic(self, ip=None, switch=None):
         """Create a NIC, attach it to a switch, and return it."""
         ip = ip or self.allocate_ip()
         if ip in self.nics:
             raise ValueError("duplicate IP on fabric: {}".format(ip))
         sw = switch or self.switch
         nic = Nic(self.sim, ip)
-        sw.attach(nic, bandwidth_bps=bandwidth_bps, latency=latency)
+        sw.attach(nic)
         self.nics[ip] = nic
         self._switch_of[ip] = sw
         return nic

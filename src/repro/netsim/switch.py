@@ -39,10 +39,10 @@ class Switch:
         self.unroutable = 0
         self.partition_dropped = 0
 
-    def attach(self, nic, bandwidth_bps=None, latency=None):
-        """Attach a NIC; per-port bandwidth/latency may override the default."""
-        bw = bandwidth_bps or self.bandwidth_bps
-        lat = latency if latency is not None else self.latency
+    def attach(self, nic):
+        """Attach a NIC on a port with the switch's bandwidth and latency."""
+        bw = self.bandwidth_bps
+        lat = self.latency
         downlink = Link(
             self.sim, bw, lat, nic.receive,
             loss_rate=self.loss_rate, rng=self._rng,
@@ -59,16 +59,17 @@ class Switch:
         self._advertise(nic.ip)
         return downlink
 
-    def connect(self, peer, bandwidth_bps=None, latency=None, uplink=True):
-        """Trunk this switch to ``peer`` with a bidirectional link pair.
+    def connect(self, peer, uplink=True):
+        """Trunk this switch to ``peer`` with a bidirectional link pair of
+        this switch's bandwidth and latency.
 
         With ``uplink=True`` (the default) ``peer`` becomes this switch's
         parent: unknown destinations follow the trunk up, and every IP
         already attached below this switch is advertised up the tree so
         descent stays a single dict hit at each hop.
         """
-        bw = bandwidth_bps or self.bandwidth_bps
-        lat = latency if latency is not None else self.latency
+        bw = self.bandwidth_bps
+        lat = self.latency
         to_peer = Link(
             self.sim, bw, lat, peer._forward,
             loss_rate=self.loss_rate, rng=self._rng,

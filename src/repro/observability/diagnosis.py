@@ -225,15 +225,14 @@ class DiagnosisEngine:
     # external (anomaly-originated) alerts
     # ------------------------------------------------------------------
 
-    def external_fire(self, name, value, now=None, blame=None,
-                      source="anomaly", drill=False):
+    def external_fire(self, name, value, now=None, blame=None):
         """Fire a synthetic alert through the normal lifecycle.
 
         Used by the anomaly detectors: the alert gets a unique engine id
         (so it can never collide with a rule alert on the same node),
         shows up in ``active``/``alerts``/the dashboard, and is emitted
-        to listeners.  No drill-down unless ``drill=True`` — anomaly
-        alerts default to pure observation so they cannot perturb a
+        to listeners, with source ``"anomaly"``.  It never drills down:
+        anomaly alerts are pure observation, so they cannot perturb a
         same-seed trace.  Idempotent while firing: a second fire of the
         same name returns the existing alert.
         """
@@ -243,20 +242,16 @@ class DiagnosisEngine:
         if rule.name in self.active:
             return self.active[rule.name]
         alert = Alert(rule, now, value, blame=blame or {},
-                      id=self._next_alert_id(), source=source)
+                      id=self._next_alert_id(), source="anomaly")
         self.active[rule.name] = alert
         self.alerts.append(alert)
         self.alerts_fired += 1
         self.anomaly_alerts += 1
         self._emit({"type": "alert", "state": "fire", "at": now,
                     "alert": alert.as_dict()})
-        if drill:
-            node = (blame or {}).get("node")
-            if node:
-                self._drill(node, now)
         return alert
 
-    def external_clear(self, name, value=None, now=None):
+    def external_clear(self, name, now=None):
         """Resolve a synthetic alert fired via :meth:`external_fire`."""
         name = " ".join(name.split())
         alert = self.active.pop(name, None)
@@ -264,7 +259,7 @@ class DiagnosisEngine:
             return None
         if now is None:
             now = self.gpa.node.sim.now
-        alert.resolve(now, value)
+        alert.resolve(now)
         self.alerts_resolved += 1
         self._emit({"type": "alert", "state": "clear", "at": now,
                     "alert": alert.as_dict()})

@@ -58,14 +58,12 @@ MONITORING_CATEGORIES = ("probe", "analyzer", "dissemination")
 _active = None
 
 
-def install(ledger=None):
-    """Make ``ledger`` (default: a fresh :class:`CpuLedger`) the process
-    ledger.  Kernels built afterwards attach to it.  Returns it."""
+def install():
+    """Make a fresh :class:`CpuLedger` the process ledger.  Kernels built
+    afterwards attach to it.  Returns it."""
     global _active
-    if ledger is None:
-        ledger = CpuLedger()
-    _active = ledger
-    return ledger
+    _active = CpuLedger()
+    return _active
 
 
 def uninstall():
@@ -143,11 +141,10 @@ class CpuLedger:
         busy = self.busy_total(node)
         return self.monitoring_time(node) / busy if busy > 0.0 else 0.0
 
-    def table(self, nodes=None):
+    def table(self):
         """Rows ``(node, category..., busy, monitoring %)`` for CLI output."""
-        names = list(nodes) if nodes is not None else self.nodes()
         rows = []
-        for name in names:
+        for name in self.nodes():
             breakdown = self._one(name, include_idle=False)
             busy = self.busy_total(name)
             row = [name]

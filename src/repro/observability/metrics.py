@@ -73,8 +73,8 @@ class Counter(Metric):
 
     __slots__ = ()
 
-    def __init__(self, name, help="", fn=None):
-        super().__init__(name, COUNTER, help=help, fn=fn)
+    def __init__(self, name, fn=None):
+        super().__init__(name, COUNTER, fn=fn)
 
     def inc(self, amount=1):
         if amount < 0:
@@ -114,8 +114,8 @@ class MetricsRegistry:
         self._metrics[metric.name] = metric
         return metric
 
-    def counter(self, name, help="", fn=None):
-        return self._add(Counter(name, help=help, fn=fn))
+    def counter(self, name, fn=None):
+        return self._add(Counter(name, fn=fn))
 
     def gauge(self, name, help="", fn=None):
         return self._add(Gauge(name, help=help, fn=fn))
@@ -212,10 +212,12 @@ def build_registry(sysprof):
         registry.register_source(
             "sysprof.daemon.{}".format(node_name), monitor.daemon.stats
         )
-        for lpa in monitor.all_lpas():
-            registry.register_source(
-                "sysprof.lpa.{}.{}".format(node_name, lpa.name), lpa.stats
-            )
+        # Read the daemon's analyzer list at collection time, so analyzers
+        # attached after install (CPAs, synthetic load) report too.
+        registry.register_source(
+            "sysprof.lpa.{}".format(node_name),
+            lambda lpas=monitor.daemon.lpas: {lpa.name: lpa.stats() for lpa in lpas},
+        )
         registry.gauge(
             "sysprof.node.{}.cpu_busy".format(node_name),
             help="simulated CPU busy seconds",

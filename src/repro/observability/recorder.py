@@ -113,14 +113,14 @@ class TimeSeriesRecorder:
         points = self._series.get(name)
         return points[-1] if points else None
 
-    def rate(self, name, since=None):
+    def rate(self, name):
         """Per-interval derivative ``[(ts, dvalue/dt)]`` of one series.
 
         The natural reading for cumulative counters and busy-seconds
         gauges: the value's growth rate per simulated second between
         adjacent samples.  Zero-width intervals are skipped.
         """
-        points = self.series(name, since=since)
+        points = self.series(name)
         rates = []
         for (t0, v0), (t1, v1) in zip(points, points[1:]):
             dt = t1 - t0

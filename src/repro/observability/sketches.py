@@ -114,25 +114,23 @@ class QuantileSketch:
 
     # -- update ----------------------------------------------------------
 
-    def add(self, value, count=1):
-        """Record ``value`` (``count`` times).  Non-positive values land
-        in the exact zero bucket."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
+    def add(self, value):
+        """Record ``value`` once.  Non-positive values land in the exact
+        zero bucket."""
         value = float(value)
         if value > MIN_TRACKABLE:
             buckets = self.buckets
             index = math.ceil(math.log(value) * self._inv_log_gamma)
             if self._floor is not None and index < self._floor:
                 index = self._floor
-            buckets[index] = buckets.get(index, 0) + count
+            buckets[index] = buckets.get(index, 0) + 1
             if len(buckets) > self.max_buckets:
                 self._collapse_lowest()
         else:
             value = 0.0
-            self.zero_count += count
-        self.count += count
-        self.sum_value += value * count
+            self.zero_count += 1
+        self.count += 1
+        self.sum_value += value
         if value < self.min_value:
             self.min_value = value
         if value > self.max_value:
@@ -390,7 +388,7 @@ class QuantileSketch:
         )
 
     @classmethod
-    def from_row(cls, record, max_buckets=None):
+    def from_row(cls, record):
         """Rebuild a sketch from a decoded ``SKETCH_FORMAT`` record dict.
 
         The sketch is a wire-form window: it keeps the row's
@@ -409,7 +407,7 @@ class QuantileSketch:
             raise ValueError("malformed bucket runs {!r}".format(payload[:40]))
         sketch = cls(
             alpha=record["alpha"],
-            max_buckets=max_buckets or max(256, _run_count(payload)),
+            max_buckets=max(256, _run_count(payload)),
         )
         base = int(record["base_index"])
         if abs(base) > _LOG_FLOAT_MAX * sketch._inv_log_gamma:
@@ -443,28 +441,25 @@ class SketchStore:
 
     Each ingested ``SKETCH_FORMAT`` record is one eviction window from
     one node; the store keeps a bounded history per ``(node,
-    request_class, metric)`` keyed by the window-end time corrected to
-    the reference clock, so SLO rules can merge "the last N seconds"
-    across nodes regardless of local clock skew.
+    request_class, metric)`` keyed by the window-end time on the
+    reference clock, which the ingesting tier supplies, so SLO rules can
+    merge "the last N seconds" across nodes regardless of local clock
+    skew.
     """
 
-    def __init__(self, clock_table=None, history=256):
-        self.clock_table = clock_table
+    def __init__(self, history=256):
         self.history = history
         self.series = {}  # (node, request_class, metric) -> deque[(end_ref, sketch)]
         self.rows_ingested = 0
 
-    def ingest(self, record):
+    def ingest(self, record, end):
         """Store one decoded sketch record (a dict of SKETCH_FORMAT fields)
-        and return the sketch it stored, which callers must not change.
-        A row :meth:`QuantileSketch.from_row` refuses raises its
+        whose window ended at reference time ``end``, and return the
+        sketch it stored, which callers must not change.  A row
+        :meth:`QuantileSketch.from_row` refuses raises its
         ``ValueError`` and stores nothing."""
         sketch = QuantileSketch.from_row(record)
-        node = record["node"]
-        end = record["window_end"]
-        if self.clock_table is not None and self.clock_table.known(node):
-            end = self.clock_table.to_reference(node, end)
-        key = (node, record["request_class"], record["metric"])
+        key = (record["node"], record["request_class"], record["metric"])
         windows = self.series.get(key)
         if windows is None:
             windows = self.series[key] = deque(maxlen=self.history)
@@ -485,16 +480,12 @@ class SketchStore:
             key[1] for key in self.series if key[2] == metric
         })
 
-    def nodes(self, request_class=None, metric="latency"):
-        return sorted({
-            key[0]
-            for key in self.series
-            if key[2] == metric
-            and (request_class is None or key[1] == request_class)
-        })
+    def nodes(self):
+        """Nodes with at least one stored latency window."""
+        return sorted({key[0] for key in self.series if key[2] == "latency"})
 
     def merged(self, request_class=None, metric="latency", node=None,
-               since=None, alpha=None):
+               since=None):
         """One sketch merging every matching window (``None`` matches all).
 
         ``since`` keeps only windows that *ended* at or after that
@@ -517,15 +508,13 @@ class SketchStore:
                 else:
                     merged.merge(sketch)
         if merged is None:
-            merged = QuantileSketch(alpha=alpha or 0.01)
+            merged = QuantileSketch()
         return merged
 
-    def latest_window_end(self, node=None):
+    def latest_window_end(self):
         """Most recent corrected window-end seen (None when empty)."""
         latest = None
-        for (key_node, _cls, _metric), windows in self.series.items():
-            if node is not None and key_node != node:
-                continue
+        for windows in self.series.values():
             if windows:
                 end = windows[-1][0]
                 if latest is None or end > latest:

@@ -230,22 +230,17 @@ class ExternalRule:
     The anomaly detectors (and anything else calling
     ``DiagnosisEngine.external_fire``) have no parsed comparison to
     attach an :class:`Alert` to; this carries just what alert rendering
-    needs — a normalized ``name``/``text`` and a value formatter.
-    ``unit`` is ``"s"``, ``"share"``, or ``None`` (plain number).
+    needs — a normalized ``name``/``text`` and a value formatter that
+    prints a plain number.
     """
 
-    def __init__(self, name, unit=None):
+    def __init__(self, name):
         self.name = " ".join(name.split())
         self.text = self.name
-        self.unit = unit
 
     def format_value(self, value):
         if value is None:
             return "n/a"
-        if self.unit == "s":
-            return "{:.2f}s".format(value)
-        if self.unit == "share":
-            return "{:.1%}".format(value)
         return "{:.2f}".format(value)
 
     def __repr__(self):

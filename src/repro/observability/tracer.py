@@ -38,12 +38,11 @@ _US = 1e6  # seconds of simulated time -> trace microseconds
 KERNEL_TID = 0
 
 
-def install(tracer=None, **kwargs):
-    """Install ``tracer`` (default: fresh :class:`SpanTracer`) and flip
-    :data:`enabled`.  Returns the tracer."""
+def install():
+    """Install a fresh :class:`SpanTracer` and flip :data:`enabled`.
+    Returns the tracer."""
     global enabled, _active
-    if tracer is None:
-        tracer = SpanTracer(**kwargs)
+    tracer = SpanTracer()
     _active = tracer
     enabled = True
     return tracer
@@ -68,9 +67,8 @@ class SpanTracer:
     truncation in its metadata).
     """
 
-    def __init__(self, max_events=500_000, probe_events=True):
+    def __init__(self, max_events=500_000):
         self.max_events = max_events
-        self.probe_events = probe_events  # record per-probe instants
         self.dropped = 0
         self._events = []  # (ts_us, ph, node, tid, name, cat, dur_us, args)
         self._pids = {}  # node -> pid
@@ -109,8 +107,7 @@ class SpanTracer:
     # -- pipeline-specific conveniences (called from instrumented sites) --
 
     def probe(self, node, etype, pid, ts):
-        if self.probe_events:
-            self.instant(node, pid or KERNEL_TID, etype, "probe", ts)
+        self.instant(node, pid or KERNEL_TID, etype, "probe", ts)
 
     def buffer_switch(self, node, buffer_name, ts, lost=0):
         args = {"lost": lost} if lost else None

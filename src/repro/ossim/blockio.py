@@ -27,11 +27,13 @@ class Disk:
     backend NFS server dominating end-to-end latency in Figure 5.
     """
 
-    def __init__(self, sim, kernel, costs, name="sda"):
+    #: The device name in the disk process's ``sda@<node>`` label.
+    name = "sda"
+
+    def __init__(self, sim, kernel, costs):
         self.sim = sim
         self.kernel = kernel
         self.costs = costs
-        self.name = name
         self._queue = Store(sim)
         self._next_contiguous = None
         self.reads = 0
@@ -40,7 +42,7 @@ class Disk:
         self.service_stat = RunningStat()
         self.queue_stat = TimeWeightedStat(sim.now)
         self._depth = 0
-        sim.process(self._serve(), name="{}@{}".format(name, kernel.name))
+        sim.process(self._serve(), name="{}@{}".format(self.name, kernel.name))
 
     def submit(self, kind, offset, nbytes):
         """Queue a request; the waitable triggers when the media finishes."""

@@ -37,12 +37,12 @@ class IdentityClock:
 class Kernel:
     """One node's operating system instance."""
 
-    def __init__(self, sim, name, costs, clock=None, tracepoints=None, cpus=1):
+    def __init__(self, sim, name, costs, clock=None, cpus=1):
         self.sim = sim
         self.name = name
         self.costs = costs
         self.clock = clock or IdentityClock()
-        self.tracepoints = tracepoints or NULL_TRACEPOINTS
+        self.tracepoints = NULL_TRACEPOINTS
         # Observability: the process-wide attribution ledger, if one is
         # installed (see repro.observability.ledger).  Read once here so
         # the CPU hot path pays a single attribute load per slice.
@@ -77,8 +77,8 @@ class Kernel:
         self.netstack = NetStack(self, nic, self.costs)
         return nic
 
-    def attach_disk(self, name="sda", cache_pages=8192):
-        self.disk = Disk(self.sim, self, self.costs, name=name)
+    def attach_disk(self, cache_pages=8192):
+        self.disk = Disk(self.sim, self, self.costs)
         self.vfs = Vfs(self, self.disk, self.costs, cache_pages=cache_pages)
         return self.disk
 

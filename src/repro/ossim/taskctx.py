@@ -60,11 +60,9 @@ class TaskContext:
         value = yield from self.kernel.block_wait(self.task, waitable, reason=reason)
         return value
 
-    def spawn(self, name, fn, *args, band=BAND_USER, labels=None, affinity=None):
+    def spawn(self, name, fn, *args, band=BAND_USER):
         """Spawn a sibling task on this node."""
-        return self.kernel.spawn(
-            name, fn, *args, band=band, labels=labels, affinity=affinity
-        )
+        return self.kernel.spawn(name, fn, *args, band=band)
 
     # ------------------------------------------------------------------
     # syscall plumbing

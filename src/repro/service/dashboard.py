@@ -14,14 +14,15 @@ the simulator, so a streaming run stays byte-identical to a batch run.
 
 from repro.analysis.plot import sparkline
 
-#: Recorder series shown as sparklines by default (fnmatch patterns,
-#: matched in order; first ``max_series`` wins).
-DEFAULT_SPARKS = (
+#: Recorder series shown as sparklines (fnmatch patterns, matched in
+#: order; the first :data:`MAX_SERIES` matches are drawn).
+SPARK_PATTERNS = (
     "sysprof.node.*.cpu_busy",
     "sysprof.gpa.*.records_received",
     "sysprof.diagnosis.active_alerts",
     "sysprof.daemon.*.send_errors",
 )
+MAX_SERIES = 12
 
 
 def _fmt(value):
@@ -32,8 +33,7 @@ def _fmt(value):
     return str(value)
 
 
-def render(supervisor, width=60, spark_patterns=DEFAULT_SPARKS,
-           max_series=12):
+def render(supervisor, width=60):
     """One dashboard frame as a newline-joined string."""
     now = supervisor.now
     lines = [
@@ -80,13 +80,13 @@ def render(supervisor, width=60, spark_patterns=DEFAULT_SPARKS,
     # -- sparkline history ----------------------------------------------
     recorder = supervisor.recorder
     shown = []
-    for pattern in spark_patterns:
+    for pattern in SPARK_PATTERNS:
         for name in recorder.names(pattern):
             if name not in shown:
                 shown.append(name)
-            if len(shown) >= max_series:
+            if len(shown) >= MAX_SERIES:
                 break
-        if len(shown) >= max_series:
+        if len(shown) >= MAX_SERIES:
             break
     if shown:
         lines.append("")
@@ -101,19 +101,15 @@ def render(supervisor, width=60, spark_patterns=DEFAULT_SPARKS,
     return "\n".join(lines)
 
 
-def stream(supervisor, refresh=1.0, duration=None, out=None, clear=True,
-           width=60):
+def stream(supervisor, refresh=1.0, duration=None, clear=True):
     """Pump ``supervisor`` forever (or for ``duration`` simulated
-    seconds), redrawing one frame per ``refresh`` simulated seconds.
+    seconds), printing one frame per ``refresh`` simulated seconds.
 
-    ``out`` is a ``print``-compatible callable (defaults to ``print``);
     ``clear`` emits an ANSI home+clear before each frame so the terminal
     behaves like ``watch``.  Returns the number of frames drawn.
     Stops early when the supervisor is shut down mid-stream (e.g. by a
     socket client's ``shutdown`` op draining at a slice boundary).
     """
-    if out is None:
-        out = print
     frames = 0
     end = None if duration is None else supervisor.now + duration
     while not supervisor.stopping and (end is None or supervisor.now < end):
@@ -124,7 +120,7 @@ def stream(supervisor, refresh=1.0, duration=None, out=None, clear=True,
             supervisor.pump(
                 width=min(supervisor.slice_width, target - supervisor.now)
             )
-        frame = render(supervisor, width=width)
-        out(("\x1b[H\x1b[2J" + frame) if clear else frame)
+        frame = render(supervisor)
+        print(("\x1b[H\x1b[2J" + frame) if clear else frame)
         frames += 1
     return frames

@@ -160,7 +160,14 @@ def _engine(sysprof, rules, diagnosis, ledger):
 # ---------------------------------------------------------------------------
 
 
-def _nfs_writer(ctx, server, path, record_bytes=16384, burst=8, think=0.01):
+#: A looping NFS writer's record size, writes per COMMIT, and the
+#: think pause after each COMMIT.
+WRITER_RECORD_BYTES = 16384
+WRITER_BURST = 8
+WRITER_THINK = 0.01
+
+
+def _nfs_writer(ctx, server, path):
     """One iozone-style thread that never finishes: write bursts with a
     COMMIT and a think pause, looping over a bounded file region."""
     mount = NfsMount(ctx, server, pipeline=4)
@@ -168,12 +175,12 @@ def _nfs_writer(ctx, server, path, record_bytes=16384, burst=8, think=0.01):
     yield from mount.lookup(path)
     op = 0
     while True:
-        for _ in range(burst):
-            offset = (op % 512) * record_bytes
-            yield from mount.write(path, offset, record_bytes, stable=False)
+        for _ in range(WRITER_BURST):
+            offset = (op % 512) * WRITER_RECORD_BYTES
+            yield from mount.write(path, offset, WRITER_RECORD_BYTES, stable=False)
             op += 1
         yield from mount.commit(path)
-        yield from ctx.sleep(think)
+        yield from ctx.sleep(WRITER_THINK)
 
 
 def build_nfs(seed=11, clients=1, backends=2, iozone=None, clock_skew=False,

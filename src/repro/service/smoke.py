@@ -26,14 +26,12 @@ from repro.service.supervisor import Supervisor
 SMOKE_HORIZON = 30.0
 
 
-def run_smoke(scenario="nfs", out=None):
+def run_smoke(scenario="nfs"):
     """Run the scripted self-check; returns the number of failed steps."""
-    if out is None:
-        out = print
     failures = []
 
     def check(label, ok, detail=""):
-        out("  {:<44} {}{}".format(
+        print("  {:<44} {}{}".format(
             label, "ok" if ok else "FAIL",
             " — {}".format(detail) if detail and not ok else "",
         ))
@@ -42,7 +40,7 @@ def run_smoke(scenario="nfs", out=None):
 
     supervisor = Supervisor(scenario)
     server = ServiceServer(supervisor).start()
-    out("serve --smoke: {} scenario on {}".format(scenario, server.address))
+    print("serve --smoke: {} scenario on {}".format(scenario, server.address))
 
     pump_errors = []
 
@@ -127,6 +125,6 @@ def run_smoke(scenario="nfs", out=None):
         server.stop()
         if not supervisor.stopping:
             supervisor.shutdown()
-    out("serve --smoke: {} step(s) failed".format(len(failures))
+    print("serve --smoke: {} step(s) failed".format(len(failures))
         if failures else "serve --smoke: all steps passed")
     return len(failures)

@@ -68,9 +68,7 @@ def _string(params, name, default=None):
 class Supervisor:
     """Owns one scenario; pumps it and serves/applies its control plane."""
 
-    def __init__(self, scenario, slice_width=DEFAULT_SLICE,
-                 recorder_capacity=512, recorder_include=None,
-                 detectors=None, anomaly=True):
+    def __init__(self, scenario, slice_width=DEFAULT_SLICE, anomaly=True):
         if isinstance(scenario, str):
             scenario = build_scenario(scenario)
         if slice_width <= 0.0:
@@ -86,15 +84,11 @@ class Supervisor:
         self.stopping = False
         # -- observability side-cars (host-side pure) -------------------
         registry = self.sysprof.metrics
-        self.recorder = TimeSeriesRecorder(
-            registry, capacity=recorder_capacity, include=recorder_include,
-        )
+        self.recorder = TimeSeriesRecorder(registry)
         registry.register_source("sysprof.recorder", self.recorder.stats)
         self.anomaly = None
         if anomaly:
-            self.anomaly = AnomalyMonitor(
-                self.recorder, detectors=detectors, engine=self.engine,
-            )
+            self.anomaly = AnomalyMonitor(self.recorder, engine=self.engine)
             registry.register_source("sysprof.anomaly", self.anomaly.stats)
         registry.register_source("sysprof.service", self.stats)
         # -- event plumbing ---------------------------------------------
@@ -124,12 +118,11 @@ class Supervisor:
         self._boundary()
         return self.now
 
-    def run(self, duration, width=None):
+    def run(self, duration):
         """Pump whole slices until ``duration`` simulated seconds pass."""
         deadline = self.now + duration
         while self.now < deadline and not self.stopping:
-            step = self.slice_width if width is None else width
-            self.pump(width=min(step, deadline - self.now))
+            self.pump(width=min(self.slice_width, deadline - self.now))
         return self.now
 
     def _boundary(self):

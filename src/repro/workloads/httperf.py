@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 from repro.apps.rubis.requests import BIDDING, COMMENT, Request
 
 
+#: The request classes, each with its own sessions.
+PROFILES = (BIDDING, COMMENT)
+
+
 @dataclass
 class HttperfConfig:
-    profiles: tuple = (BIDDING, COMMENT)
     sessions_per_class: int = 30
     rate_per_class: float = 150.0
     duration: float = 60.0
@@ -30,16 +33,16 @@ class HttperfStats:
         self.generated[class_name] = self.generated.get(class_name, 0) + 1
 
 
-def spawn_httperf(node, dispatcher, config, streams, stats=None):
+def spawn_httperf(node, dispatcher, config, streams):
     """Start all sessions on ``node``; requests go to ``dispatcher``.
 
     ``streams`` is the cluster's :class:`~repro.sim.rng.RandomStreams`;
     each session gets an independent substream so monitor-on/off runs see
-    identical arrival processes.
+    identical arrival processes.  Returns ``(tasks, stats)``.
     """
-    stats = stats if stats is not None else HttperfStats()
+    stats = HttperfStats()
     tasks = []
-    for profile in config.profiles:
+    for profile in PROFILES:
         session_rate = config.rate_per_class / config.sessions_per_class
         for session in range(config.sessions_per_class):
             rng = streams.stream(

@@ -2,9 +2,9 @@
 
 §3.2: "We configured Iozone to generate write/re-write tests and varied
 the number of threads it forks to see the effect on resource usage."
-Each thread owns one file and performs sequential records of
-``record_bytes`` over its own NFS mount, then optionally a re-write pass
-over the same range.
+Each thread owns one file, looks it up, and performs sequential
+:data:`RECORD_BYTES` records over its own NFS mount, then optionally a
+re-write pass over the same range.
 
 ``stable=False`` with ``commit_every`` models iozone over the kernel
 NFSv3 client (write-behind + periodic COMMIT); ``stable=True`` models
@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 
 from repro.apps.nfs.client import NfsMount
 
+#: Bytes per write record.
+RECORD_BYTES = 16384
+
 
 @dataclass
 class IozoneConfig:
     threads: int = 4
     ops_per_thread: int = 50
-    record_bytes: int = 16384
     rewrite: bool = True
-    lookup_first: bool = True
     pipeline: int = 4
     stable: bool = False
     commit_every: int = 8
@@ -55,19 +56,18 @@ class IozoneResults:
         return sum(values) / len(values) if values else 0.0
 
 
-def spawn_iozone(node, server, config, results, name_prefix=None):
+def spawn_iozone(node, server, config, results):
     """Start ``config.threads`` iozone threads on ``node`` against ``server``.
 
     Returns the spawned tasks; each logs per-RPC latencies into
     ``results`` and bumps ``threads_done`` on completion.
     """
-    prefix = name_prefix or "iozone-{}".format(node.name)
     tasks = []
     for thread_id in range(config.threads):
         path = "/data/{}/file{}".format(node.name, thread_id)
         tasks.append(
             node.spawn(
-                "{}-t{}".format(prefix, thread_id),
+                "iozone-{}-t{}".format(node.name, thread_id),
                 _iozone_thread, server, config, results, thread_id, path,
             )
         )
@@ -82,16 +82,13 @@ def _iozone_thread(ctx, server, config, results, thread_id, path):
         ),
     )
     yield from mount.connect()
-    if config.lookup_first:
-        yield from mount.lookup(path)
+    yield from mount.lookup(path)
     passes = 2 if config.rewrite else 1
     for _pass in range(passes):
         since_commit = 0
         for op in range(config.ops_per_thread):
-            offset = op * config.record_bytes
-            yield from mount.write(
-                path, offset, config.record_bytes, stable=config.stable
-            )
+            offset = op * RECORD_BYTES
+            yield from mount.write(path, offset, RECORD_BYTES, stable=config.stable)
             since_commit += 1
             if not config.stable and since_commit >= config.commit_every:
                 yield from mount.commit(path)

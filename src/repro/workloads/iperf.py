@@ -33,13 +33,17 @@ class IperfResult:
 class IperfRun:
     """Wires up a sender/receiver pair; read :attr:`result` after running."""
 
+    #: Bytes per message the sender writes.
+    message_bytes = 65536
+    #: MTU frames aggregated into one simulated packet (see the module
+    #: docstring).
+    frame_batch = 4
+
     def __init__(self, sender_node, receiver_node, duration=0.5,
-                 message_bytes=65536, frame_batch=4, port=IPERF_PORT):
+                 port=IPERF_PORT):
         self.sender_node = sender_node
         self.receiver_node = receiver_node
         self.duration = duration
-        self.message_bytes = message_bytes
-        self.frame_batch = frame_batch
         self.port = port
         self.result = None
         self._rx_bytes = 0
@@ -82,14 +86,13 @@ class IperfRun:
         return self._rx_bytes * 8.0 / (now - self._started_at) / 1e6
 
 
-def run_iperf(cluster, sender, receiver, duration=0.5, message_bytes=65536,
-              frame_batch=4, settle=0.2):
-    """Convenience: run an iperf pair to completion and return the result."""
+def run_iperf(cluster, sender, receiver, duration=0.5):
+    """Convenience: run an iperf pair to completion (plus 0.2 s for the
+    last messages to land) and return the result."""
     run = IperfRun(
-        cluster.node(sender), cluster.node(receiver),
-        duration=duration, message_bytes=message_bytes, frame_batch=frame_batch,
+        cluster.node(sender), cluster.node(receiver), duration=duration
     ).start()
-    cluster.sim.run(until=cluster.sim.now + duration + settle)
+    cluster.sim.run(until=cluster.sim.now + duration + 0.2)
     if run.result is None:
         # Receiver still waiting on a final partial message; use counters.
         run.result = IperfResult(run._rx_bytes, duration, run._rx_messages)

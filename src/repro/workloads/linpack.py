@@ -32,7 +32,7 @@ class LinpackResult:
         )
 
 
-def spawn_linpack(node, duration, done=None):
+def spawn_linpack(node, duration):
     """Run linpack on ``node`` for ``duration`` simulated seconds.
 
     Returns the task; its ``exit_value`` is a :class:`LinpackResult`.
@@ -46,11 +46,8 @@ def spawn_linpack(node, duration, done=None):
         while ctx.now < end:
             yield from ctx.compute(per_iteration)
             iterations += 1
-        result = LinpackResult(
+        return LinpackResult(
             iterations, iterations * FLOPS_PER_ITERATION, ctx.now - start
         )
-        if done is not None:
-            done(result)
-        return result
 
     return node.spawn("linpack", linpack)

@@ -51,28 +51,27 @@ def lognormal_samples(stream, mu, sigma, n):
     return samples
 
 
+#: Median (sketch rows) and mean (class summaries) request latency, in
+#: seconds, of a node whose ``load_factor`` is 1.
+BASE_LATENCY = 0.002
+
+
 class SyntheticSketchLPA(LocalPerformanceAnalyzer):
     """Emits one ``sysprof.sketch`` latency row per request class per
-    eviction window, populated from seeded lognormal draws."""
+    eviction window, populated from seeded lognormal draws whose median
+    is :data:`BASE_LATENCY` times ``load_factor``."""
 
     record_format = SKETCH_FORMAT
+    #: Shape of the lognormal latency draws.
+    sigma = 0.5
 
     def __init__(self, kernel, kprof, rng, request_classes=("rpc",),
-                 samples_per_window=32, median_latency=0.002, sigma=0.5,
-                 load_factor=1.0, alpha=0.01, max_buckets=256,
-                 name="synthetic-sketch", buffer_capacity=64,
-                 on_buffer_full=None):
-        super().__init__(
-            kernel, kprof, name,
-            buffer_capacity=buffer_capacity, on_buffer_full=on_buffer_full,
-        )
+                 samples_per_window=32, load_factor=1.0):
+        super().__init__(kernel, kprof, "synthetic-sketch", buffer_capacity=64)
         self.rng = rng
         self.request_classes = tuple(request_classes)
         self.samples_per_window = samples_per_window
-        self.mu = math.log(median_latency * load_factor)
-        self.sigma = sigma
-        self.alpha = alpha
-        self.max_buckets = max_buckets
+        self.mu = math.log(BASE_LATENCY * load_factor)
         self.rows_emitted = 0
         self._window_start = kernel.sim.now
 
@@ -83,7 +82,7 @@ class SyntheticSketchLPA(LocalPerformanceAnalyzer):
         """Daemon timer hook: synthesize this window's latency sketches."""
         now = self.kernel.clock.local_time(self.kernel.sim.now)
         for request_class in self.request_classes:
-            sketch = QuantileSketch(alpha=self.alpha, max_buckets=self.max_buckets)
+            sketch = QuantileSketch()
             sketch.extend(lognormal_samples(
                 self.rng, self.mu, self.sigma, self.samples_per_window
             ))
@@ -103,25 +102,21 @@ class SyntheticClassLPA(LocalPerformanceAnalyzer):
     (kernel_time ≥ kernel_wait; latency ≥ kernel + user), so federated
     blame reconstruction from summaries stays meaningful.
 
-    ``load_factor`` scales the node's mean latency — mark one node hot
-    to give blame descent an unambiguous culprit.
+    ``load_factor`` scales the node's mean latency, :data:`BASE_LATENCY`
+    — mark one node hot to give blame descent an unambiguous culprit.
     """
 
     record_format = CLASS_SUMMARY_FORMAT
+    #: Requests each summary row counts, and the bytes each one moves.
+    count_per_window = 32
+    bytes_per_request = 1024
 
     def __init__(self, kernel, kprof, rng, request_classes=("rpc",),
-                 count_per_window=32, mean_latency=0.002, load_factor=1.0,
-                 bytes_per_request=1024, name="synthetic-class",
-                 buffer_capacity=64, on_buffer_full=None):
-        super().__init__(
-            kernel, kprof, name,
-            buffer_capacity=buffer_capacity, on_buffer_full=on_buffer_full,
-        )
+                 load_factor=1.0):
+        super().__init__(kernel, kprof, "synthetic-class", buffer_capacity=64)
         self.rng = rng
         self.request_classes = tuple(request_classes)
-        self.count_per_window = count_per_window
-        self.mean_latency = mean_latency * load_factor
-        self.bytes_per_request = bytes_per_request
+        self.mean_latency = BASE_LATENCY * load_factor
         self.rows_emitted = 0
         self._window_start = kernel.sim.now
 
@@ -149,10 +144,10 @@ class SyntheticClassLPA(LocalPerformanceAnalyzer):
 
 
 def install_synthetic_load(sysprof, request_classes=("rpc",),
-                           samples_per_window=32, count_per_window=32,
-                           mean_latency=0.002, hot_nodes=None,
-                           hot_factor=4.0, sketches=True, summaries=True):
-    """Attach synthetic LPAs to every monitored node of ``sysprof``.
+                           samples_per_window=32, hot_nodes=None,
+                           hot_factor=4.0):
+    """Attach a sketch and a class-summary synthetic LPA to every
+    monitored node of ``sysprof``.
 
     Returns ``{node: [lpas]}``.  ``hot_nodes`` get their latencies
     scaled by ``hot_factor`` so diagnosis has a real offender to find.
@@ -165,24 +160,18 @@ def install_synthetic_load(sysprof, request_classes=("rpc",),
     for node_name, monitor in sysprof.monitors.items():
         rng = streams.stream("synthetic.{}".format(node_name))
         factor = hot_factor if node_name in hot else 1.0
-        lpas = []
-        if sketches:
-            lpa = SyntheticSketchLPA(
+        lpas = [
+            SyntheticSketchLPA(
                 monitor.kernel, monitor.kprof, rng,
                 request_classes=request_classes,
-                samples_per_window=samples_per_window,
-                median_latency=mean_latency, load_factor=factor,
-            )
-            monitor.daemon.add_lpa(lpa)
-            lpas.append(lpa)
-        if summaries:
-            lpa = SyntheticClassLPA(
+                samples_per_window=samples_per_window, load_factor=factor,
+            ),
+            SyntheticClassLPA(
                 monitor.kernel, monitor.kprof, rng,
-                request_classes=request_classes,
-                count_per_window=count_per_window,
-                mean_latency=mean_latency, load_factor=factor,
-            )
+                request_classes=request_classes, load_factor=factor,
+            ),
+        ]
+        for lpa in lpas:
             monitor.daemon.add_lpa(lpa)
-            lpas.append(lpa)
         installed[node_name] = lpas
     return installed

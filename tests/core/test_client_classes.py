@@ -3,11 +3,8 @@
 
 from repro.cluster import Cluster
 from repro.core import SysProf, SysProfConfig
-from repro.core.controller import (
-    classify_by_client,
-    classify_by_client_group,
-    classify_by_kind,
-)
+from repro.core.controller import classify_by_client, classify_by_client_group
+from repro.core.lpa import classify_by_kind
 
 
 def _multi_client_cluster():

@@ -76,6 +76,12 @@ def test_duplicate_cpa_name_rejected():
         sysprof.controller.install_cpa(
             "server", SYSCALL_COUNTER, [tp.SYSCALL_ENTRY], name="dup"
         )
+    # A built-in analyzer's name is taken too: the CPA would shadow its
+    # /proc entry and metrics, and uninstalling it would remove them.
+    with pytest.raises(ValueError, match="already installed"):
+        sysprof.controller.install_cpa(
+            "server", SYSCALL_COUNTER, [tp.SYSCALL_ENTRY], name="nodestats-lpa"
+        )
 
 
 def test_uninstall_stops_delivery():
@@ -87,11 +93,18 @@ def test_uninstall_stops_delivery():
     handled = cpa.events_handled
     removed = sysprof.controller.uninstall_cpa("server", "tmp")
     assert removed is cpa
+    assert cpa not in sysprof.monitor("server").daemon.lpas
+    with pytest.raises(FileNotFoundError):
+        cluster.node("server").kernel.procfs.read("/proc/sysprof/tmp")
+    # Frames already on the wire land; after that no CPA row arrives.
+    cluster.run(until=cluster.sim.now + 0.5)
+    rows = len(sysprof.gpa.cpa_metrics)
     from tests.core.helpers import request_client
 
     cluster.node("client").spawn("cli2", request_client, "server", 8080, 3)
     cluster.run(until=cluster.sim.now + 2.0)
     assert cpa.events_handled == handled
+    assert len(sysprof.gpa.cpa_metrics) == rows
 
 
 def test_cpa_charges_cpu(cluster=None):

@@ -160,7 +160,7 @@ def test_format_descriptors_resent_after_reconnect():
     sends_before = daemon.publisher.format_sends
     assert sends_before >= 1
     for endpoint in list(daemon.publisher._sockets):
-        daemon.reset_endpoint(endpoint)
+        daemon.publisher.reset_endpoint(endpoint)
     from tests.core.helpers import request_client
 
     cluster.node("client").spawn("cli2", request_client, "server", 8080, 3)

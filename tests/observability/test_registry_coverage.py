@@ -16,6 +16,8 @@ import pkgutil
 from repro.core import SysProfConfig
 from repro.faults import FaultInjector
 from repro.observability import DiagnosisEngine
+from repro.ossim import tracepoints as tp
+from repro.service import build_scenario
 from tests.core.helpers import build_monitored_pair
 
 # Registered directly via registry.register_source(...) in
@@ -27,7 +29,7 @@ REGISTERED = {
     "InteractionLPA",
     "SyscallLPA",
     "SketchLPA",
-    "CustomAnalyzer",             # via monitor.all_lpas() once installed
+    "CustomAnalyzer",             # sysprof.lpa.<node>.<name> while on daemon.lpas
     "AnalyzerTier",               # shared keys of the two tiers below
     "GlobalPerformanceAnalyzer",  # sysprof.gpa.<node>
     "ZoneGpa",                    # sysprof.zone.<zone>
@@ -111,10 +113,7 @@ def test_registered_components_have_live_prefixes():
     for expected in (
         "sysprof.kprof.server",
         "sysprof.daemon.server",
-        "sysprof.lpa.server.interaction-lpa",
-        "sysprof.lpa.server.nodestats-lpa",
-        "sysprof.lpa.server.syscall-lpa",
-        "sysprof.lpa.server.sketch-lpa",
+        "sysprof.lpa.server",
         "sysprof.gpa.mgmt",
         "sysprof.netsim",
         "sysprof.sim",
@@ -124,6 +123,36 @@ def test_registered_components_have_live_prefixes():
         "sysprof.runner",
     ):
         assert expected in prefixes, expected
+    # The node's analyzer source reports one sysprof.lpa.<node>.<name>
+    # family per analyzer on the daemon's list.
+    names = sysprof.metrics.collect()
+    for lpa in ("interaction-lpa", "nodestats-lpa", "syscall-lpa", "sketch-lpa"):
+        prefix = "sysprof.lpa.server.{}.".format(lpa)
+        assert any(name.startswith(prefix) for name in names), prefix
+
+
+def test_analyzers_attached_after_install_report_metrics():
+    """The registry reads each daemon's analyzer list when it collects,
+    so analyzers attached after install() report too: a CPA until it is
+    uninstalled, and every federation member's synthetic LPAs."""
+    _cluster, sysprof = build_monitored_pair()
+    sysprof.controller.install_cpa(
+        "server", "void handle(event e) { }", [tp.SYSCALL_ENTRY], name="late"
+    )
+    assert "sysprof.lpa.server.late.handled" in sysprof.metrics.collect()
+    sysprof.controller.uninstall_cpa("server", "late")
+    assert not any(
+        name.startswith("sysprof.lpa.server.late.")
+        for name in sysprof.metrics.collect()
+    )
+    scenario = build_scenario("federation")
+    try:
+        names = scenario.sysprof.metrics.collect()
+    finally:
+        scenario.close()
+    for node in scenario.sysprof.monitors:
+        for lpa in ("synthetic-sketch", "synthetic-class"):
+            assert "sysprof.lpa.{}.{}.buffer.appended".format(node, lpa) in names
 
 
 def test_federated_install_registers_zone_and_topology_prefixes():

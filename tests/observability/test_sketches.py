@@ -139,10 +139,10 @@ def _record(node, cls, metric, end, values):
 
 def test_store_merges_and_filters():
     store = SketchStore()
-    store.ingest(_record("a", "query", "latency", 1.0, [0.001] * 10))
-    store.ingest(_record("a", "query", "latency", 2.0, [0.010] * 10))
-    store.ingest(_record("b", "query", "latency", 2.0, [0.010] * 10))
-    store.ingest(_record("a", "query", "qdepth", 2.0, [4.0] * 10))
+    store.ingest(_record("a", "query", "latency", 1.0, [0.001] * 10), 1.0)
+    store.ingest(_record("a", "query", "latency", 2.0, [0.010] * 10), 2.0)
+    store.ingest(_record("b", "query", "latency", 2.0, [0.010] * 10), 2.0)
+    store.ingest(_record("a", "query", "qdepth", 2.0, [4.0] * 10), 2.0)
     assert store.classes() == ["query"]
     assert store.nodes() == ["a", "b"]
     assert store.merged("query").count == 30
@@ -159,7 +159,7 @@ def test_store_merges_and_filters():
 def test_store_clear_keeps_cumulative_counter():
     store = SketchStore(history=2)
     for end in (1.0, 2.0, 3.0):
-        store.ingest(_record("a", "query", "latency", end, [0.001]))
+        store.ingest(_record("a", "query", "latency", end, [0.001]), end)
     key = ("a", "query", "latency")
     assert len(store.series[key]) == 2  # bounded history
     store.clear()
@@ -476,8 +476,9 @@ def test_stored_windows_keep_their_wire_form():
         before = tracemalloc.get_traced_memory()[0]
         decoded_fmt, decoded = decode_frame(registry, blob)
         for row in decoded:
-            rollup.merge(store.ingest(dict(zip(decoded_fmt.names, row))))
-        del decoded, row
+            record = dict(zip(decoded_fmt.names, row))
+            rollup.merge(store.ingest(record, record["window_end"]))
+        del decoded, row, record
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -1,7 +1,13 @@
 """The `python -m repro` experiment runner."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -14,6 +20,22 @@ def test_list_command(capsys):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bogus"])
+
+
+def test_cli_start_up_does_not_load_openssl():
+    """Building the CLI parser (every ``python -m repro`` start-up,
+    ``repro serve`` included) must not load OpenSSL through ``hashlib``;
+    only hashing a trace does."""
+    code = (
+        "import sys, repro.cli; repro.cli.build_parser(); "
+        "print('_hashlib' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_parser_defaults():
